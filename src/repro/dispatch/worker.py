@@ -14,7 +14,8 @@ stdio mode (the ``subprocess`` transport)
         {"ok": false, "spec_hash": H, "kind": "Preempted",
          "checkpoint": {...resumable search state...}, "error": "..."}
 
-    A ``{"preempt": true}`` control line arriving *mid-job* makes the
+    A ``{"preempt": true}`` control line arriving *mid-job* (anywhere
+    after its job line, even before the solve starts) makes the
     solver flush its state and answer with the ``Preempted`` reply,
     after which the worker exits — the transport hands the checkpoint
     to a replacement worker, which resumes the proof instead of
@@ -244,6 +245,16 @@ def _stdio_reply(
     return {"ok": True, "spec_hash": spec.spec_hash, "result": payload}
 
 
+class _StdioJob:
+    """A job line and whether a preempt control line followed it."""
+
+    __slots__ = ("line", "preempt")
+
+    def __init__(self, line: str) -> None:
+        self.line = line
+        self.preempt = False
+
+
 def stdio_worker_loop(
     stdin: TextIO | None = None,
     stdout: TextIO | None = None,
@@ -274,52 +285,54 @@ def stdio_worker_loop(
 
     threading.Thread(target=_pump, daemon=True, name="repro-stdin-pump").start()
 
-    jobs: deque[str] = deque()
-    preempt_flag = threading.Event()
+    # A preempt control line binds to the job line it follows: the last
+    # queued job, else the job in flight.  With neither it is stray and
+    # dropped, so a late preempt never carries over into the next job.
+    jobs: deque[_StdioJob] = deque()
+    current: _StdioJob | None = None
+
+    def _accept(raw: str) -> None:
+        stripped = raw.strip()
+        if not stripped:
+            return
+        if not _is_preempt_control(stripped):
+            jobs.append(_StdioJob(stripped))
+        elif jobs:
+            jobs[-1].preempt = True
+        elif current is not None:
+            current.preempt = True
 
     def _drain() -> None:
-        """Move buffered lines into the job deque, consuming preempt
-        control lines into the flag as they pass."""
+        """Take every buffered line in arrival order."""
         while True:
             try:
                 raw = lines.get_nowait()
             except queue.Empty:
                 return
-            stripped = raw.strip()
-            if not stripped:
-                continue
-            if _is_preempt_control(stripped):
-                preempt_flag.set()
-            else:
-                jobs.append(stripped)
+            _accept(raw)
 
     def _preempt(st) -> bool:
         _drain()
-        return preempt_flag.is_set()
+        return current is not None and current.preempt
 
     while True:
         _drain()
-        if jobs:
-            line = jobs.popleft()
-        elif eof.is_set() and lines.empty():
-            return 0
-        else:
+        if not jobs:
+            if eof.is_set() and lines.empty():
+                return 0
             try:
-                raw = lines.get(timeout=0.05)
+                _accept(lines.get(timeout=0.05))
             except queue.Empty:
-                continue
-            line = raw.strip()
-            if not line:
-                continue
-            if _is_preempt_control(line):
-                continue  # stray control with no job in flight
-        preempt_flag.clear()
+                pass
+            continue
+        current = jobs.popleft()
         reply = _stdio_reply(
-            line,
+            current.line,
             preempt=_preempt,
             checkpoint_every=checkpoint_every,
             injector=injector,
         )
+        current = None
         text = json.dumps(reply, sort_keys=True, separators=(",", ":"))
         if injector is not None:
             # A corrupt_result fault truncates the reply line: the

@@ -29,6 +29,12 @@ if os.environ.get("HYPOTHESIS_PROFILE"):
     settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: full-length runs (the CLI's default every-experiment sweep)"
+    )
+
+
 @pytest.fixture(params=["python", "numpy"])
 def kernel(request, monkeypatch):
     """Parametrize a test over both search kernels via ``REPRO_KERNEL``

@@ -292,15 +292,22 @@ class TestLeases:
             env=worker_env(),
         )
         claims = root / "claims"
+        leases = root / "leases"
         try:
             deadline = time.monotonic() + 30
-            claimed = False
+            leased = False
             while time.monotonic() < deadline:
-                if claims.is_dir() and any(claims.iterdir()):
-                    claimed = True
+                # Stop the worker only once its claim's own lease is on
+                # disk (claim and lease share a file name): a stop in the
+                # claim→lease-write gap leaves a lease-less claim, which
+                # the legacy deadline reclaim may take after its grace.
+                if claims.is_dir() and any(
+                    (leases / claim.name).exists() for claim in claims.iterdir()
+                ):
+                    leased = True
                     break
                 time.sleep(0.005)
-            assert claimed, "worker never claimed the job"
+            assert leased, "worker never claimed and leased the job"
             os.kill(worker.pid, signal.SIGSTOP)
             time.sleep(1.5)  # blows the 0.5 s deadline, not the lease
             os.kill(worker.pid, signal.SIGCONT)
@@ -364,15 +371,14 @@ class TestPreemption:
         the job plus an immediate preempt request, answers with a
         checkpoint, and exits; worker 2 resumes from that wire
         checkpoint and finishes byte-identically."""
-        w1 = _SubprocessWorker("pre1")
-        timer = threading.Timer(0.05, w1._request_preempt)
-        timer.daemon = True
-        timer.start()
+        # A zero deadline is the transport's own preempt path: the job
+        # line goes out first, then the preempt request; the long grace
+        # keeps the kill timer out of the picture.
+        w1 = _SubprocessWorker("pre1", preempt_grace=120.0)
         try:
             with pytest.raises(WorkerPreempted) as err:
-                w1.solve(N8, None)
+                w1.solve(N8, 0.0)
         finally:
-            timer.cancel()
             w1.close()
         checkpoint = err.value.checkpoint
         assert checkpoint is not None

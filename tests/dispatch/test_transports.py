@@ -33,6 +33,10 @@ SPECS = (
     ]
 )
 
+# Long enough (a few thousand nodes) to reach the engine's preempt polls.
+N8 = CoverSpec.for_ring(8, backend="exact", use_hints=False)
+_PREEMPT = json.dumps({"preempt": True})
+
 
 @pytest.fixture(scope="module")
 def oracle():
@@ -91,6 +95,29 @@ class TestStdioProtocol:
     def test_blank_lines_are_ignored(self):
         replies = self._roundtrip(["", json.dumps({"spec": SPECS[1].to_payload()}), ""])
         assert len(replies) == 1 and replies[0]["ok"]
+
+    def test_preempt_after_job_line_preempts_that_job(self):
+        """A preempt that follows its job line is honoured even when
+        both lines are buffered before the solve starts (the subprocess
+        transport always writes the job first)."""
+        replies = self._roundtrip([json.dumps({"spec": N8.to_payload()}), _PREEMPT])
+        assert len(replies) == 1
+        assert replies[0]["kind"] == "Preempted"
+        assert replies[0]["checkpoint"]["nodes"] > 0
+
+    def test_stray_preempt_before_any_job_is_ignored(self):
+        replies = self._roundtrip([_PREEMPT, json.dumps({"spec": N8.to_payload()})])
+        assert len(replies) == 1 and replies[0]["ok"]
+
+    def test_preempt_does_not_carry_over_into_the_next_job(self):
+        """The preempt binds to the n=4 job it follows, which finishes
+        before its first preempt poll; the n=8 job after it runs whole."""
+        replies = self._roundtrip(
+            [json.dumps({"spec": SPECS[0].to_payload()}), _PREEMPT,
+             json.dumps({"spec": N8.to_payload()})]
+        )
+        assert [r["ok"] for r in replies] == [True, True]
+        assert replies[1]["spec_hash"] == N8.spec_hash
 
 
 class TestSpoolLayout:

@@ -38,6 +38,9 @@ from repro.sat.engines import SAT_ENGINE_ENV, available_engines
 from repro.util import circular
 
 _GOLDEN_DIR = Path(__file__).parent / "goldens"
+# ``SHARD_THRESHOLD`` of benchmarks/bench_solver.py: ring sizes at or above
+# it certify through ``exact_sharded`` in the benchmark sweep.
+_BENCH_SHARD_THRESHOLD = 11
 
 # λ → largest ring size the exact instance solver certifies fast enough
 # for a property suite (calibrated; λ=1 routes to the K_n solver).
@@ -420,18 +423,25 @@ class TestMinBlocksGoldens:
             )
 
     def test_bench_solver_node_counts_reproduced(self, goldens):
-        with open(Path(__file__).parent.parent / "BENCH_solver.json", encoding="utf-8") as f:
-            bench = json.load(f)
-        by_n = {row["n"]: row for row in bench["rows"]}
+        """Rebuild ``BENCH_solver.json``'s certification rows with the
+        sweep the benchmark itself runs (in-process, one worker, FIFO)
+        over every ring size that has a golden exact entry, so the
+        cross-check needs no bench artifact on disk."""
+        from repro.analysis.experiments import experiment_solver_certification
+
+        exact = {}
         for doc in goldens.values():
             payload = json.loads(doc["json"])
-            if payload["backend"] != "exact" or payload["spec"]["use_hints"]:
-                continue
-            n = payload["spec"]["n"]
-            if n not in by_n:
-                continue
+            if payload["backend"] == "exact" and not payload["spec"]["use_hints"]:
+                exact[payload["spec"]["n"]] = payload
+        assert exact, "no golden exact-certification entries"
+        rows = experiment_solver_certification(
+            tuple(sorted(exact)), shard_threshold=_BENCH_SHARD_THRESHOLD
+        ).rows
+        by_n = {row["n"]: row for row in rows}
+        for n, payload in sorted(exact.items()):
             assert payload["stats"]["nodes"] == by_n[n]["nodes"], (
-                f"n={n}: golden node count diverged from BENCH_solver.json"
+                f"n={n}: golden node count diverged from the benchmark sweep"
             )
             assert payload["status"] == "proven_optimal"
             assert by_n[n]["proven"]
