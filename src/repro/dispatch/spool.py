@@ -22,7 +22,8 @@ edit) and is quarantined: deleted, counted, and the job re-dispatched,
 mirroring the result cache's recovery contract.
 
 Reclaim is driven by **heartbeat leases**, not deadlines.  A worker
-writes ``leases/<hash>.<wid>.json`` at claim time and renews it (a
+writes ``leases/<hash>.<wid>.json`` just before its claim rename (so a
+claim is never visible without its lease) and renews it (a
 monotone ``beat`` counter, bumped at most every ``heartbeat_every``
 seconds, piggybacked on the engine's preempt polls) for as long as the
 proof advances.  The dispatcher tracks each claim's beat against its
@@ -112,9 +113,11 @@ __all__ = ["LEASE_TIMEOUT_DEFAULT", "SpoolTransport"]
 # times per second, so ten missed windows is a worker that is gone.
 LEASE_TIMEOUT_DEFAULT = 5.0
 # How long a fresh claim may sit without any lease before the legacy
-# (deadline-based) reclaim may touch it — covers the claim→lease-write
-# window of current workers so only genuinely lease-less (old-release)
-# workers ever take the legacy door.
+# (deadline-based) reclaim may touch it.  Current workers write the
+# lease before the claim rename, so their claims are never lease-less;
+# the grace is a margin for a shared filesystem that shows the claim
+# before the lease, so only genuinely lease-less (old-release) workers
+# ever take the legacy door.
 _LEASE_GRACE = 1.0
 # Idle drain ticks back off toward this ceiling (reset on progress).
 _DRAIN_IDLE_CAP = 0.25

@@ -42,10 +42,11 @@ spool mode (the ``spool`` transport; ``--spool DIR``)
     no CPU.
 
 Heartbeat leases: a spool worker writes
-``DIR/leases/<spec-hash>.<worker-id>.json`` the moment it claims a job
-and *renews* it (bumping a monotone ``beat`` counter) at most every
-``heartbeat_every`` seconds, piggybacked on the engine's preempt-poll
-cadence — zero extra engine hooks.  The dispatcher reclaims a claim
+``DIR/leases/<spec-hash>.<worker-id>.json`` just before it claims a
+job (so no claim is ever visible without its lease) and *renews* it
+(bumping a monotone ``beat`` counter) at most every ``heartbeat_every``
+seconds, piggybacked on the engine's preempt-poll cadence — zero extra
+engine hooks.  The dispatcher reclaims a claim
 only when its lease goes stale (the beat stops moving), never while
 the worker is demonstrably alive — which is what decouples reclaim
 from the job deadline and closes the duplicate-solve window a
@@ -360,12 +361,23 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _claim_one(root: Path, worker_id: str) -> "tuple[str, dict, Path] | None":
+def _claim_one(
+    root: Path,
+    worker_id: str,
+    *,
+    heartbeat_every: float = HEARTBEAT_EVERY_DEFAULT,
+    injector: FaultInjector | None = None,
+) -> tuple[str, dict, Path, _Lease] | None:
     """Claim the first eligible job via atomic rename; losers of the
-    rename race simply move on to the next file.  Job files are named
-    ``<seq>-<spec-hash>.json`` with ``<seq>`` the dispatcher's schedule
-    position, so sorted directory order *is* the LPT heaviest-first
-    plan."""
+    rename race clear their lease and move on to the next file.  The
+    claim's heartbeat lease is written *before* the rename, so
+    a claim is never visible without its lease: a worker descheduled
+    right after claiming still holds a leased claim, which the
+    dispatcher reclaims only once the beat goes stale — never through
+    the legacy door meant for lease-less old-release workers.  Job
+    files are named ``<seq>-<spec-hash>.json`` with ``<seq>`` the
+    dispatcher's schedule position, so sorted directory order *is* the
+    LPT heaviest-first plan."""
     jobs_dir = root / "jobs"
     try:
         candidates = sorted(jobs_dir.glob("*.json"))
@@ -383,11 +395,16 @@ def _claim_one(root: Path, worker_id: str) -> "tuple[str, dict, Path] | None":
         prefix, sep, rest = job_file.stem.partition("-")
         spec_hash = rest if sep else prefix
         claim = root / "claims" / f"{spec_hash}.{worker_id}.json"
+        lease = _Lease(
+            root, spec_hash, worker_id, every=heartbeat_every, injector=injector
+        )
+        lease.write()
         try:
             os.replace(job_file, claim)
         except (OSError, ValueError):
+            lease.clear()
             continue  # another worker won the claim
-        return spec_hash, doc, claim
+        return spec_hash, doc, claim, lease
     return None
 
 
@@ -538,11 +555,12 @@ def spool_worker_loop(
     ``exit_when_idle``).  Safe to run many copies against one spool —
     claims are atomic renames, results are atomic writes.
 
-    Every claim gets a heartbeat lease (``leases/``), written at claim
-    time and renewed — at most every ``heartbeat_every`` seconds — on
-    the engine's preempt polls while the proof advances; the dispatcher
-    reclaims a claim only once its lease stops moving.  Search state is
-    checkpointed to ``checkpoints/`` every ``checkpoint_every`` nodes,
+    Every claim gets a heartbeat lease (``leases/``), written just
+    before the claim rename and renewed — at most every
+    ``heartbeat_every`` seconds — on the engine's preempt polls while
+    the proof advances; the dispatcher reclaims a claim only once its
+    lease stops moving.  Search state is checkpointed to
+    ``checkpoints/`` every ``checkpoint_every`` nodes,
     so a worker killed mid-proof leaves resumable state behind.
     ``preempt_after`` (``"800n"`` nodes or seconds) makes the worker
     bow out of long proofs voluntarily: flush a checkpoint, restore the
@@ -568,7 +586,9 @@ def spool_worker_loop(
     while True:
         if (root / "STOP").exists():
             return 0
-        claimed = _claim_one(root, wid)
+        claimed = _claim_one(
+            root, wid, heartbeat_every=heartbeat_every, injector=injector
+        )
         if claimed is None:
             if exit_when_idle:
                 return 0
@@ -576,11 +596,7 @@ def spool_worker_loop(
             time.sleep(idle.delay(idle_ticks))
             continue
         idle_ticks = 0
-        spec_hash, doc, claim = claimed
-        lease = _Lease(
-            root, spec_hash, wid, every=heartbeat_every, injector=injector
-        )
-        lease.write()
+        spec_hash, doc, claim, lease = claimed
         finished = _run_spool_job(
             root,
             spec_hash,

@@ -292,22 +292,15 @@ class TestLeases:
             env=worker_env(),
         )
         claims = root / "claims"
-        leases = root / "leases"
         try:
             deadline = time.monotonic() + 30
-            leased = False
+            claimed = False
             while time.monotonic() < deadline:
-                # Stop the worker only once its claim's own lease is on
-                # disk (claim and lease share a file name): a stop in the
-                # claim→lease-write gap leaves a lease-less claim, which
-                # the legacy deadline reclaim may take after its grace.
-                if claims.is_dir() and any(
-                    (leases / claim.name).exists() for claim in claims.iterdir()
-                ):
-                    leased = True
+                if claims.is_dir() and any(claims.iterdir()):
+                    claimed = True
                     break
                 time.sleep(0.005)
-            assert leased, "worker never claimed and leased the job"
+            assert claimed, "worker never claimed the job"
             os.kill(worker.pid, signal.SIGSTOP)
             time.sleep(1.5)  # blows the 0.5 s deadline, not the lease
             os.kill(worker.pid, signal.SIGCONT)
@@ -371,14 +364,15 @@ class TestPreemption:
         the job plus an immediate preempt request, answers with a
         checkpoint, and exits; worker 2 resumes from that wire
         checkpoint and finishes byte-identically."""
-        # A zero deadline is the transport's own preempt path: the job
-        # line goes out first, then the preempt request; the long grace
-        # keeps the kill timer out of the picture.
-        w1 = _SubprocessWorker("pre1", preempt_grace=120.0)
+        w1 = _SubprocessWorker("pre1")
+        timer = threading.Timer(0.05, w1._request_preempt)
+        timer.daemon = True
+        timer.start()
         try:
             with pytest.raises(WorkerPreempted) as err:
-                w1.solve(N8, 0.0)
+                w1.solve(N8, None)
         finally:
+            timer.cancel()
             w1.close()
         checkpoint = err.value.checkpoint
         assert checkpoint is not None
@@ -390,6 +384,25 @@ class TestPreemption:
         finally:
             w2.close()
         assert result.to_json() == n8_oracle.to_json()
+
+    def test_stdio_deadline_before_worker_startup_preempts_not_kills(
+        self, n8_oracle
+    ):
+        """A zero ``job_timeout`` is shorter than worker start-up: the
+        transport writes the job line and then the preempt request, and
+        both are buffered before the worker reads either.  The worker
+        binds the preempt to the job it follows and answers with a
+        checkpoint inside the default ``preempt_grace`` — a migration,
+        not a grace kill."""
+        w1 = _SubprocessWorker("dl1")
+        try:
+            with pytest.raises(WorkerPreempted) as err:
+                w1.solve(N8, 0.0)
+        finally:
+            w1.close()
+        checkpoint = err.value.checkpoint
+        assert checkpoint is not None
+        assert 0 < checkpoint["nodes"] < n8_oracle.stats.nodes
 
     def test_spool_preempt_after_migrates_in_budgeted_slices(
         self, tmp_path, n8_oracle

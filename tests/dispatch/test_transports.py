@@ -15,7 +15,12 @@ import json
 import pytest
 
 from repro.api import CoverSpec, solve
-from repro.dispatch import SpoolTransport, dispatch_batch, stdio_worker_loop
+from repro.dispatch import (
+    SpoolTransport,
+    dispatch_batch,
+    spool_worker_loop,
+    stdio_worker_loop,
+)
 
 # A spread of job shapes: K_n certification, a closed-form route, λ-fold
 # demand, an explicitly restricted instance, and the objective axis
@@ -131,6 +136,33 @@ class TestSpoolLayout:
         assert list((root / "jobs").iterdir()) == []
         assert list((root / "claims").iterdir()) == []
         assert (root / "STOP").exists()  # polling workers shut down
+
+    def test_claim_is_never_visible_without_its_lease(self, tmp_path, monkeypatch):
+        """The worker writes its heartbeat lease before the claim rename,
+        so a worker descheduled right after claiming still holds a leased
+        claim — the dispatcher's legacy reclaim (for lease-less
+        old-release workers) can never take it."""
+        from repro.dispatch import worker as worker_mod
+
+        root = tmp_path / "spool"
+        (root / "jobs").mkdir(parents=True)
+        spec = SPECS[0]
+        doc = {"format": worker_mod.SPOOL_JOB_FORMAT, "spec": spec.to_payload(),
+               "attempts": 0, "excluded": [], "seq": 0}
+        (root / "jobs" / f"000000-{spec.spec_hash}.json").write_text(json.dumps(doc))
+        leased_at_claim = []
+        real_replace = worker_mod.os.replace
+
+        def replace(src, dst):
+            dst = worker_mod.Path(dst)
+            if dst.parent.name == "claims":
+                leased_at_claim.append((root / "leases" / dst.name).exists())
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(worker_mod.os, "replace", replace)
+        assert spool_worker_loop(root, exit_when_idle=True, max_jobs=1) == 0
+        assert leased_at_claim == [True]
+        assert (root / "results" / f"{spec.spec_hash}.result.json").exists()
 
     def test_result_files_are_full_envelopes(self, tmp_path):
         root = tmp_path / "spool"

@@ -38,9 +38,6 @@ from repro.sat.engines import SAT_ENGINE_ENV, available_engines
 from repro.util import circular
 
 _GOLDEN_DIR = Path(__file__).parent / "goldens"
-# ``SHARD_THRESHOLD`` of benchmarks/bench_solver.py: ring sizes at or above
-# it certify through ``exact_sharded`` in the benchmark sweep.
-_BENCH_SHARD_THRESHOLD = 11
 
 # λ → largest ring size the exact instance solver certifies fast enough
 # for a property suite (calibrated; λ=1 routes to the K_n solver).
@@ -426,7 +423,9 @@ class TestMinBlocksGoldens:
         """Rebuild ``BENCH_solver.json``'s certification rows with the
         sweep the benchmark itself runs (in-process, one worker, FIFO)
         over every ring size that has a golden exact entry, so the
-        cross-check needs no bench artifact on disk."""
+        cross-check needs no bench artifact on disk.  No shard threshold
+        is passed: the goldens pin the unsharded ``exact`` backend, which
+        is what the benchmark runs below its own threshold."""
         from repro.analysis.experiments import experiment_solver_certification
 
         exact = {}
@@ -435,9 +434,7 @@ class TestMinBlocksGoldens:
             if payload["backend"] == "exact" and not payload["spec"]["use_hints"]:
                 exact[payload["spec"]["n"]] = payload
         assert exact, "no golden exact-certification entries"
-        rows = experiment_solver_certification(
-            tuple(sorted(exact)), shard_threshold=_BENCH_SHARD_THRESHOLD
-        ).rows
+        rows = experiment_solver_certification(tuple(sorted(exact))).rows
         by_n = {row["n"]: row for row in rows}
         for n, payload in sorted(exact.items()):
             assert payload["stats"]["nodes"] == by_n[n]["nodes"], (
