@@ -23,16 +23,10 @@ Results are written three ways: the rendered table
 the pinned ``N8_NODE_CEILING`` (the seed's 85,650-node n = 8 anomaly
 must stay ≥ 10× beaten).
 
-The JSON additionally carries a ``kernel_ablation`` block: the largest
-even ring size in the sweep re-proven under every installed kernel
-(``REPRO_KERNEL``), prologue hoisted, reporting nodes/sec and the
-wall-clock speedup over the pure-Python reference.  Byte-identity
-(see :mod:`repro.core.kernel`) means the node counts must agree
-exactly — the rows are a pure throughput comparison.
-
-A ``backend_ablation`` block sits alongside it: the shared small even
-rings certified twice over — once by ``exact`` branch-and-bound
-exhaustion, once by the ``sat`` tier's downward cardinality walk —
+The JSON additionally carries a ``backend_ablation`` block: the shared
+small even rings certified twice over — once by ``exact``
+branch-and-bound exhaustion, once by the ``sat`` tier's downward
+cardinality walk —
 with wall-clock and each regime's native effort metric (B&B nodes vs
 CDCL conflicts/decisions).  The optima are asserted equal; the block
 is a cost comparison between independent proofs.
@@ -52,14 +46,7 @@ import os
 import time
 
 from repro.analysis.experiments import experiment_solver_certification
-from repro.core.engine import (
-    DEFAULT_NODE_LIMIT,
-    N8_NODE_CEILING,
-    SolverEngine,
-    SolverStats,
-)
-from repro.core.kernel import available_kernels
-from repro.core.objective import resolve_objective
+from repro.core.engine import N8_NODE_CEILING
 
 NS = (4, 5, 6, 7, 8, 9, 10, 11)
 SHARD_THRESHOLD = 11
@@ -81,48 +68,6 @@ def _dispatch_from_env() -> dict:
     if raw_workers:
         kwargs["dispatch_workers"] = int(raw_workers)
     return kwargs
-
-
-def _kernel_ablation(n: int) -> list[dict]:
-    """Time the identical K_n exhaustion proof under every installed
-    kernel (``REPRO_KERNEL`` values), prologue hoisted so only the
-    branch-and-bound loop is on the clock.  Byte-identity makes the
-    comparison exact: every kernel explores the same node sequence, so
-    the rows differ only in wall-clock."""
-    obj = resolve_objective("min_blocks")
-    rows = []
-    for kernel in available_kernels():
-        eng = SolverEngine(n, kernel=kernel)
-        best_count, best_blocks, order, root_cands, _ = eng._search_prologue(
-            None, "lex", obj, None
-        )
-        st = SolverStats()
-        start = time.perf_counter()
-        eng._covering_search(
-            root_cands=root_cands,
-            best_count=best_count,
-            best_blocks=best_blocks,
-            node_limit=DEFAULT_NODE_LIMIT,
-            st=st,
-            order=order,
-            objective=obj,
-        )
-        seconds = time.perf_counter() - start
-        rows.append(
-            {
-                "kernel": kernel,
-                "n": n,
-                "nodes": st.nodes,
-                "seconds": seconds,
-                "nodes_per_sec": st.nodes / seconds if seconds > 0 else 0.0,
-            }
-        )
-    python_seconds = next(r["seconds"] for r in rows if r["kernel"] == "python")
-    for row in rows:
-        row["speedup_vs_python"] = (
-            python_seconds / row["seconds"] if row["seconds"] > 0 else 0.0
-        )
-    return rows
 
 
 def _backend_ablation(ns: tuple[int, ...]) -> list[dict]:
@@ -171,16 +116,6 @@ def test_bench_solver_certification(benchmark, save_table, save_json):
     table = result.render()
     save_table("E10_solver", table)
 
-    # Kernel ablation on the largest even ring size in the sweep — the
-    # even sizes are the ones whose bound gap forces a real exhaustion
-    # proof, so they are where the vectorized kernel's throughput shows.
-    ablation_n = max((n for n in ns if n % 2 == 0), default=max(ns))
-    ablation = _kernel_ablation(ablation_n)
-    assert len({row["nodes"] for row in ablation}) == 1, (
-        "kernels disagree on node count — byte-identity is broken: "
-        f"{ablation}"
-    )
-
     # Backend ablation: the same optima certified twice over the shared
     # small-even rings — B&B exhaustion vs SAT walk — comparing each
     # tier's native effort metric (nodes vs conflicts/decisions).
@@ -194,18 +129,11 @@ def test_bench_solver_certification(benchmark, save_table, save_json):
             "title": "exact solver certification of rho(n)",
             "n8_node_ceiling": N8_NODE_CEILING,
             "rows": result.rows,
-            "kernel_ablation": ablation,
             "backend_ablation": backend_rows,
         },
         mirror="BENCH_solver.json",
     )
     print("\n" + table)
-    for row in ablation:
-        print(
-            f"kernel={row['kernel']:<7} n={row['n']} nodes={row['nodes']} "
-            f"seconds={row['seconds']:.4f} nodes/s={row['nodes_per_sec']:,.0f} "
-            f"speedup={row['speedup_vs_python']:.2f}x"
-        )
     for row in backend_rows:
         print(
             f"backend-ablation n={row['n']} optimum={row['exact_optimum']} "

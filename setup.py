@@ -25,11 +25,9 @@ setup(
     install_requires=["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"],
     extras_require={
         "dev": ["pytest>=7.0", "pytest-benchmark>=4.0", "hypothesis>=6.0"],
-        # Optional accelerators.  Both are probed at runtime and both
-        # have dependency-free fallbacks, so neither is a hard install
-        # requirement: the vectorized search kernel degrades to the
-        # pure-Python reference (REPRO_KERNEL), and the SAT backend's
-        # pysat engine degrades to the bundled CDCL (REPRO_SAT).
+        # Optional accelerator, probed at runtime: the SAT backend's
+        # pysat engine degrades to the bundled CDCL (REPRO_SAT), so it
+        # is not a hard install requirement.
         "sat": ["python-sat>=0.1.7"],
         "all": ["python-sat>=0.1.7"],
     },

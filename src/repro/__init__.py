@@ -48,9 +48,6 @@ from .core import (
     improved_greedy_covering,
     rho,
     route_block,
-    solve_many,
-    solve_min_covering,
-    solve_min_covering_sharded,
     theorem_cycle_mix,
     triangle_covering_number,
     verify_covering,
@@ -74,8 +71,6 @@ __all__ = [
     "SolverEngine",
     "improve_covering",
     "improved_greedy_covering",
-    "solve_many",
-    "solve_min_covering_sharded",
     "all_to_all",
     "assert_valid_covering",
     "counting_bound",
@@ -90,7 +85,6 @@ __all__ = [
     "optimality_gap",
     "rho",
     "route_block",
-    "solve_min_covering",
     "theorem_cycle_mix",
     "triangle_covering_number",
     "verify_covering",

@@ -33,9 +33,6 @@ Layers (each its own module):
 * :mod:`~repro.api.checkpoints` — the :class:`CheckpointStore` of
   resumable search checkpoints living next to the cache;
 * :mod:`~repro.api.service` — :func:`solve` / :func:`solve_batch`.
-
-The legacy free functions (``repro.core.solver.solve_min_covering``
-and friends) remain as a deprecation façade over the same engine.
 """
 
 from __future__ import annotations

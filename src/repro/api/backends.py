@@ -400,6 +400,7 @@ class ExactShardedBackend:
             node_limit=_node_limit_of(spec),
             stats=stats,
             branching=spec.branching,
+            use_memo=spec.use_memo,
             deadline=_deadline_of(spec),
             objective=obj,
             allowed_sizes=spec.allowed_sizes,

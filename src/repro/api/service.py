@@ -5,8 +5,8 @@ machinery: route the spec to a backend (or honour its pin), serve from
 the content-addressed cache when one is supplied, run, validate, store.
 ``solve_batch`` is the sweep shape — one call, many specs, shared
 cache — and the serializable :class:`~repro.api.spec.CoverSpec` is the
-wire format a distributed dispatcher would ship to remote workers (the
-ROADMAP's distributed-``solve_many`` seam).
+wire format :mod:`repro.dispatch` ships to subprocess and spool
+workers.
 
 Every result is re-checked against the spec's demand before it is
 returned or cached — no backend, present or future, can hand back a

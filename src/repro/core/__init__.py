@@ -20,9 +20,6 @@ from .formulas import (
     theorem_cycle_mix,
     triangle_covering_number,
 )
-# The engine exports (not the repro.core.solver façade): the top-level
-# surface stays warning-free; DeprecationWarnings fire only for callers
-# importing through repro.core.solver itself.
 from .checkpoint import CappedMemo, SearchCheckpoint
 from .engine import (
     SolverEngine,
@@ -32,10 +29,6 @@ from .engine import (
     enumerate_convex_blocks,
     enumerate_tight_blocks,
     exact_decomposition,
-    solve_many,
-    solve_min_covering,
-    solve_min_covering_instance,
-    solve_min_covering_sharded,
 )
 from .improve import ImproveStats, improve_covering, improved_greedy_covering
 from .ladder import ladder_decomposition
@@ -62,7 +55,6 @@ __all__ = [
     "dihedral_orbit",
     "reflect_covering",
     "rotate_covering",
-    "solve_min_covering_instance",
     "CappedMemo",
     "CoverageLedger",
     "CycleBlock",
@@ -81,8 +73,6 @@ __all__ = [
     "dominated_candidates",
     "improve_covering",
     "improved_greedy_covering",
-    "solve_many",
-    "solve_min_covering_sharded",
     "VerificationReport",
     "assert_valid_covering",
     "brute_force_routing",
@@ -107,7 +97,6 @@ __all__ = [
     "rho",
     "rho_lambda_lower_bound",
     "route_block",
-    "solve_min_covering",
     "theorem_cycle_mix",
     "triangle",
     "triangle_covering_number",

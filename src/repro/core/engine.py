@@ -18,7 +18,7 @@ lower bound.  :class:`SolverEngine` owns that scaffolding once:
   — the quantity the DRC geometry caps at ``n`` per block), per-chord
   candidate indices pre-sorted by coverage mass, and the *bound
   fragments* below.  Memoized per ``(n, max_size)`` so batched sweeps
-  (:func:`solve_many`) build each table once per process.
+  (:func:`repro.api.solve_batch`) build each table once per process.
 * **Packing lower bound** — the seed pruned with the counting bound
   ``⌈Σ_uncovered dist(e) / n⌉`` alone.  The engine's bound is the max
   of two strictly-dominating relaxations, both O(1) per node thanks to
@@ -102,13 +102,24 @@ lower bound.  :class:`SolverEngine` owns that scaffolding once:
   (greedy loops, the improver, mutation tests) stays O(block size) per
   edit.
 
-:mod:`repro.core.solver` remains as a thin compatibility façade
-re-exporting the public entry points with their historical signatures.
+* **One search loop** — :meth:`SolverEngine.min_covering`, the shard
+  workers of :meth:`SolverEngine.min_covering_sharded` and
+  :meth:`SolverEngine.min_covering_instance` all run the same
+  explicit-stack driver (:func:`_branch_and_bound`) over a small
+  residual model: the covered-chord bitmask of ``K_n`` or the residual
+  count vector of an arbitrary demand.  The driver owns node
+  accounting, the node-limit/deadline/preempt checks and checkpoint
+  capture/resume; each frame evaluates all its children once (residual
+  mass, bound and cost from per-block lookup tables), so runs of
+  bound-pruned children are counted in one step.  Dihedral canonical
+  masks come from 8-bit-chunk permutation tables.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -120,7 +131,6 @@ from ..util.parallel import parallel_map, resolve_workers, weighted_chunks
 from .blocks import CycleBlock
 from .checkpoint import KIND_INSTANCE, KIND_KN, CappedMemo, SearchCheckpoint, memo_cap
 from .covering import Covering
-from .kernel import resolve_kernel
 from .ledger import CoverageLedger
 from .objective import Objective, resolve_objective
 
@@ -134,10 +144,6 @@ __all__ = [
     "enumerate_tight_blocks",
     "exact_decomposition",
     "restricted_block_table",
-    "solve_many",
-    "solve_min_covering",
-    "solve_min_covering_instance",
-    "solve_min_covering_sharded",
 ]
 
 DEFAULT_NODE_LIMIT = 20_000_000
@@ -306,25 +312,55 @@ def dihedral_bit_perms(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(perms)
 
 
-def _mask_bits(mask: int) -> list[int]:
-    bits: list[int] = []
-    while mask:
-        bits.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return bits
+@lru_cache(maxsize=64)
+def _mask_canonicalizer(n: int):
+    """The transposition memo's key function for ``K_n`` chord masks:
+    ``mask ->`` its minimum image under the ``2n`` ring symmetries.
 
+    Table-driven: ``tables[c][v]`` packs the images of value ``v`` in
+    the mask's c-th 8-bit chunk under *every* symmetry into one
+    integer, one fixed-width lane per symmetry.  OR-ing one entry per
+    chunk yields all ``2n`` images at once (each symmetry permutes the
+    chord bits, so lanes never overlap), and the canonical mask is the
+    smallest lane.  With at most 64 chord bits (n ≤ 11) the lanes are
+    read out as one ``array("Q")``.
+    """
+    perms = dihedral_bit_perms(n)
+    nbits = len(perms[0])
+    nperms = len(perms)
+    lane = 64 * -(-nbits // 64)
+    single = [
+        sum(1 << (perm[b] + lane * p) for p, perm in enumerate(perms))
+        for b in range(nbits)
+    ]
+    tables = []
+    for base in range(0, nbits, 8):
+        tab = [0] * (1 << min(8, nbits - base))
+        for v in range(1, len(tab)):
+            tab[v] = tab[v & (v - 1)] | single[base + (v & -v).bit_length() - 1]
+        tables.append(tab)
+    nchunks = len(tables)
 
-def _canonical_mask(mask: int, perms: tuple[tuple[int, ...], ...]) -> int:
-    """Minimum image of ``mask`` under the dihedral bit permutations."""
-    bits = _mask_bits(mask)
-    best = mask
-    for perm in perms[1:]:
+    def images(mask: int) -> int:
         img = 0
-        for b in bits:
-            img |= 1 << perm[b]
-        if img < best:
-            best = img
-    return best
+        for tab, v in zip(tables, mask.to_bytes(nchunks, "little")):
+            img |= tab[v]
+        return img
+
+    if lane == 64:
+        nbytes = 8 * nperms
+
+        def canonical(mask: int) -> int:
+            return min(array("Q", images(mask).to_bytes(nbytes, sys.byteorder)))
+
+    else:
+        lane_mask = (1 << lane) - 1
+
+        def canonical(mask: int) -> int:
+            img = images(mask)
+            return min((img >> (lane * p)) & lane_mask for p in range(nperms))
+
+    return canonical
 
 
 def _bound_fragments(
@@ -565,16 +601,11 @@ class SolverEngine:
     """Shared bitmask kernel behind every exact solver and the greedy
     baseline (see the module docstring for the architecture)."""
 
-    def __init__(self, n: int, *, max_size: int = 4, kernel: str | None = None):
+    def __init__(self, n: int, *, max_size: int = 4):
         if n < 3:
             raise SolverError(f"n ≥ 3 required, got {n}")
         self.n = n
         self.max_size = max_size
-        # "python" or "numpy" — resolved once per engine from the
-        # argument or REPRO_KERNEL (see repro.core.kernel).  The choice
-        # never enters results or checkpoints: both kernels produce
-        # byte-identical envelopes and kernel-agnostic checkpoints.
-        self.kernel = resolve_kernel(kernel)
 
     # -- shared state (memoized at module level, cheap to re-ask) -------
 
@@ -738,7 +769,7 @@ class SolverEngine:
         run) to resume exactly where that run stopped — the final
         covering and node count are identical to an uninterrupted
         search.  ``on_checkpoint`` is called with a fresh snapshot
-        every ``checkpoint_every`` nodes; ``preempt`` is polled with
+        once every ``checkpoint_every`` nodes; ``preempt`` is polled with
         the live :class:`SolverStats` at the deadline cadence and a
         truthy return raises :class:`SolverPreempted` carrying the
         resumable checkpoint (deadline overruns raise the same way;
@@ -751,25 +782,28 @@ class SolverEngine:
 
         obj = resolve_objective(objective)
         st = stats if stats is not None else SolverStats()
-        best_count, best_blocks, order, root_cands, _ = self._search_prologue(
+        best_count, best_blocks, root_cands, _ = self._search_prologue(
             upper_bound, branching, obj, allowed_sizes
         )
-        best_count, best_blocks = self._covering_search(
+        model = _KnModel(
+            self,
+            obj,
             root_cands=root_cands,
-            best_count=best_count,
+            branching=branching,
+            use_memo=use_memo,
+            allowed_sizes=allowed_sizes,
+        )
+        best_count, best_blocks = _branch_and_bound(
+            model,
+            best_value=best_count,
             best_blocks=best_blocks,
             node_limit=node_limit,
             st=st,
-            order=order,
-            use_memo=use_memo,
             deadline=deadline,
-            objective=obj,
-            allowed_sizes=allowed_sizes,
-            branching=branching,
+            preempt=preempt,
             checkpoint=checkpoint,
             checkpoint_every=checkpoint_every,
             on_checkpoint=on_checkpoint,
-            preempt=preempt,
         )
         if best_blocks is None:
             # The search ran to exhaustion (a node-limit overrun raises
@@ -788,13 +822,13 @@ class SolverEngine:
         branching: str,
         objective: Objective,
         allowed_sizes: tuple[int, ...] | None = None,
-    ) -> tuple[int, list[CycleBlock] | None, list[int], list[int], list[int]]:
+    ) -> tuple[int, list[CycleBlock] | None, list[int], list[int]]:
         """Shared setup of the serial and sharded ``K_n`` certifications:
         the exclusive threshold (seeded by the greedy/improver
-        incumbent, valued under the objective), the branch order, and
-        the root orbit representatives with their orbit weights.
-        Keeping one copy is what guarantees both paths prove against
-        the same incumbent convention."""
+        incumbent, valued under the objective) and the root orbit
+        representatives with their orbit weights.  Keeping one copy is
+        what guarantees both paths prove against the same incumbent
+        convention."""
         table = self._table("convex", allowed_sizes)
         if allowed_sizes is not None:
             for bit, cands in enumerate(table.per_edge):
@@ -824,7 +858,7 @@ class SolverEngine:
         root_cands, orbit_weights = _orbit_representatives(
             self.n, table.blocks, table.per_edge[order[0]]
         )
-        return best_count, best_blocks, order, root_cands, orbit_weights
+        return best_count, best_blocks, root_cands, orbit_weights
 
     def _branch_order(self, table: BlockTable, branching: str) -> list[int]:
         space = self.space
@@ -839,270 +873,6 @@ class SolverEngine:
             f"unknown branching order {branching!r} (expected one of {BRANCHING_ORDERS})"
         )
 
-    def _covering_search(
-        self,
-        *,
-        root_cands: list[int],
-        best_count: int,
-        best_blocks: list[CycleBlock] | None,
-        node_limit: int,
-        st: SolverStats,
-        order: list[int],
-        use_memo: bool = True,
-        deadline: float | None = None,
-        objective: Objective | None = None,
-        allowed_sizes: tuple[int, ...] | None = None,
-        branching: str = "lex",
-        checkpoint: SearchCheckpoint | None = None,
-        checkpoint_every: int | None = None,
-        on_checkpoint=None,
-        preempt=None,
-    ) -> tuple[int, list[CycleBlock] | None]:
-        """Branch-and-bound over the (possibly size-restricted) convex
-        pool for All-to-All demand, generic over the objective.
-
-        ``best_count`` is the exclusive threshold in objective units
-        (only strictly better coverings are accepted); ``root_cands``
-        restricts the first branch — the sharded solver passes each
-        worker its slice of the root orbit representatives.  The
-        accumulated objective cost is what enters the transposition
-        memo (for ``min_blocks`` that is the historical
-        blocks-used value, node-for-node); parity-tracking objectives
-        additionally get the residual odd-degree vertex count for their
-        bound.  Returns the improved ``(best_count, best_blocks)``;
-        exhaustive unless the node limit raises.
-
-        The search runs as an explicit-stack loop over frames
-        ``[covered, used, W, odd, scored, cursor]`` so its entire
-        state — incumbent, per-frame candidate cursor, transposition
-        memo, and the unexplored root frontier — can be captured in a
-        :class:`SearchCheckpoint` at any loop boundary and resumed
-        later with an identical node sequence.  The chosen-block path
-        is implicit: frame ``k``'s active child is
-        ``scored[cursor − 1]``, an invariant that holds for every
-        non-top frame at the loop top.
-        """
-        n = self.n
-        obj = resolve_objective(objective)
-        if self.kernel == "numpy":
-            from .kernel import numpy_covering_search
-
-            return numpy_covering_search(
-                self,
-                root_cands=root_cands,
-                best_count=best_count,
-                best_blocks=best_blocks,
-                node_limit=node_limit,
-                st=st,
-                order=order,
-                use_memo=use_memo,
-                deadline=deadline,
-                objective=obj,
-                allowed_sizes=allowed_sizes,
-                branching=branching,
-                checkpoint=checkpoint,
-                checkpoint_every=checkpoint_every,
-                on_checkpoint=on_checkpoint,
-                preempt=preempt,
-            )
-        space = self.space
-        table = self._table("convex", allowed_sizes)
-        dist = space.dist
-        full_mask = space.full_mask
-        masks = table.masks
-        blocks = table.blocks
-        per_edge = table.per_edge
-        bit_lists = table.bit_lists
-        weights = table.chord_weights
-        denom = table.weight_denom
-        max_cover = min(self.max_size, max((blk.size for blk in blocks), default=1))
-        costs = tuple(obj.block_cost(blk) for blk in blocks)
-        min_cost = min(costs, default=1)
-        node_bound = obj.node_bound
-        track_parity = obj.track_parity
-        edges = space.edges
-        perms = dihedral_bit_perms(n) if use_memo else ()
-        memo = CappedMemo(memo_cap())
-        lex = order == list(range(len(space.edges)))
-        W_root = sum(weights)
-        # Residual demand-degree parity per vertex: All-to-All leaves
-        # every vertex at degree n − 1.
-        odd_root = ((1 << n) - 1) if (track_parity and (n - 1) % 2) else 0
-
-        best: list = [best_count, best_blocks]
-        chosen: list[CycleBlock] = []
-        # Frame layout: [covered, used, W, odd, scored, cursor].
-        frames: list[list] = []
-
-        def visit(covered: int, used: int, W: int, odd: int):
-            """Process one search node (count, completion, bound, memo,
-            branching target) and return the scored candidate list to
-            expand — or ``None`` when the node is a leaf or pruned."""
-            st.nodes += 1
-            if covered == full_mask:
-                if used < best[0]:
-                    best[0] = used
-                    best[1] = list(chosen)
-                return None
-            unc = full_mask & ~covered
-            # Objective bound over the running residual totals (the
-            # fractional/cardinality packing maximum for min_blocks).
-            bound = node_bound(
-                frac_units=W,
-                frac_denom=denom,
-                residual_requests=unc.bit_count(),
-                max_cover=max_cover,
-                min_cost=min_cost,
-                odd_vertices=odd.bit_count(),
-            )
-            if used + (bound if bound > min_cost else min_cost) >= best[0]:
-                return None
-            if use_memo:
-                key = _canonical_mask(unc, perms)
-                prev = memo.get(key)
-                if prev is not None and prev <= used:
-                    return None
-                memo.store(key, used)
-            if lex:
-                target = (unc & -unc).bit_length() - 1
-            else:
-                target = next(e for e in order if (unc >> e) & 1)
-            cands = root_cands if covered == 0 else per_edge[target]
-            return sorted(
-                cands,
-                key=lambda i: -sum(dist[b] for b in bit_lists[i] if (unc >> b) & 1),
-            )
-
-        def capture() -> SearchCheckpoint:
-            return SearchCheckpoint(
-                kind=KIND_KN,
-                n=n,
-                max_size=self.max_size,
-                objective=obj.name,
-                branching=branching,
-                use_memo=use_memo,
-                allowed_sizes=(
-                    tuple(allowed_sizes) if allowed_sizes is not None else None
-                ),
-                nodes=st.nodes,
-                best_value=best[0],
-                best_blocks=(
-                    tuple(blk.vertices for blk in best[1])
-                    if best[1] is not None
-                    else None
-                ),
-                frames=[[fr[0], fr[1], fr[2], fr[3], list(fr[4]), fr[5]] for fr in frames],
-                memo=list(memo.items()),
-                resumes=(checkpoint.resumes + 1) if checkpoint is not None else 0,
-            )
-
-        if checkpoint is not None:
-            checkpoint.check_compatible(
-                kind=KIND_KN,
-                n=n,
-                max_size=self.max_size,
-                objective=obj.name,
-                branching=branching,
-                use_memo=use_memo,
-                allowed_sizes=(
-                    tuple(allowed_sizes) if allowed_sizes is not None else None
-                ),
-            )
-            st.nodes = checkpoint.nodes
-            best[0] = checkpoint.best_value
-            best[1] = (
-                [CycleBlock(tuple(vs)) for vs in checkpoint.best_blocks]
-                if checkpoint.best_blocks is not None
-                else None
-            )
-            for key, value in checkpoint.memo:
-                memo.store(key, value)
-            frames = [
-                [covered, used, W, odd, list(scored), cursor]
-                for covered, used, W, odd, scored, cursor in checkpoint.frames
-            ]
-            for k in range(len(frames) - 1):
-                fr = frames[k]
-                chosen.append(blocks[fr[4][fr[5] - 1]])
-        else:
-            scored0 = visit(0, 0, W_root, odd_root)
-            if scored0 is not None:
-                frames.append([0, 0, W_root, odd_root, scored0, 0])
-
-        # A budget check at the loop top fires on the node count the
-        # just-resumed checkpoint restored; gating polls on progress
-        # past this floor guarantees every resume cycle advances at
-        # least one poll window before it can be preempted again.
-        poll_floor = st.nodes
-        next_flush = (
-            st.nodes + checkpoint_every
-            if checkpoint_every and on_checkpoint is not None
-            else None
-        )
-
-        while frames:
-            if st.nodes > node_limit:
-                raise SolverError(
-                    f"solver exceeded node limit {node_limit} for n={n}",
-                    checkpoint=capture(),
-                    best_blocks=list(best[1]) if best[1] is not None else None,
-                    best_value=best[0],
-                    stats=st,
-                )
-            if st.nodes & DEADLINE_POLL_MASK == 0 and st.nodes > poll_floor:
-                if deadline is not None and time.time() > deadline:
-                    raise SolverPreempted(
-                        f"solver exceeded its time budget for n={n}",
-                        checkpoint=capture(),
-                        best_blocks=list(best[1]) if best[1] is not None else None,
-                        best_value=best[0],
-                        stats=st,
-                    )
-                if preempt is not None and preempt(st):
-                    raise SolverPreempted(
-                        f"solver preempted at {st.nodes} nodes for n={n}",
-                        checkpoint=capture(),
-                        best_blocks=list(best[1]) if best[1] is not None else None,
-                        best_value=best[0],
-                        stats=st,
-                    )
-            if next_flush is not None and st.nodes >= next_flush:
-                on_checkpoint(capture())
-                next_flush = st.nodes + checkpoint_every
-            fr = frames[-1]
-            scored = fr[4]
-            cursor = fr[5]
-            if cursor >= len(scored):
-                frames.pop()
-                if frames:
-                    chosen.pop()
-                continue
-            fr[5] = cursor + 1
-            i = scored[cursor]
-            covered, used, W, odd = fr[0], fr[1], fr[2], fr[3]
-            unc = full_mask & ~covered
-            dW = 0
-            new_odd = odd
-            if track_parity:
-                for b in bit_lists[i]:
-                    if (unc >> b) & 1:
-                        dW += weights[b]
-                        a, c = edges[b]
-                        new_odd ^= (1 << a) | (1 << c)
-            else:
-                dW = sum(weights[b] for b in bit_lists[i] if (unc >> b) & 1)
-            chosen.append(blocks[i])
-            child_covered = covered | masks[i]
-            child_used = used + costs[i]
-            child_scored = visit(child_covered, child_used, W - dW, new_odd)
-            if child_scored is None:
-                chosen.pop()
-            else:
-                frames.append(
-                    [child_covered, child_used, W - dW, new_odd, child_scored, 0]
-                )
-        return best[0], best[1]
-
     # -- sharded scale-out -----------------------------------------------
 
     def min_covering_sharded(
@@ -1113,6 +883,7 @@ class SolverEngine:
         node_limit: int = DEFAULT_NODE_LIMIT,
         stats: SolverStats | None = None,
         branching: str = "lex",
+        use_memo: bool = True,
         deadline: float | None = None,
         objective: Objective | str | None = None,
         allowed_sizes: tuple[int, ...] | None = None,
@@ -1140,13 +911,14 @@ class SolverEngine:
                 node_limit=node_limit,
                 stats=stats,
                 branching=branching,
+                use_memo=use_memo,
                 deadline=deadline,
                 objective=obj,
                 allowed_sizes=allowed_sizes,
             )
 
         st = stats if stats is not None else SolverStats()
-        best_count, best_blocks, _, root_cands, orbit_weights = self._search_prologue(
+        best_count, best_blocks, root_cands, orbit_weights = self._search_prologue(
             upper_bound, branching, obj, allowed_sizes
         )
         shards = weighted_chunks(root_cands, orbit_weights, nworkers)
@@ -1158,10 +930,10 @@ class SolverEngine:
                 best_count,
                 node_limit,
                 branching,
+                use_memo,
                 deadline,
                 obj.name,
                 allowed_sizes,
-                self.kernel,
             )
             for shard in shards
         ]
@@ -1222,7 +994,7 @@ class SolverEngine:
         ``checkpoint``/``checkpoint_every``/``on_checkpoint``/``preempt``
         follow :meth:`min_covering`'s resumable-search contract; the
         instance frames additionally carry the per-chord residual
-        decrements so the mutable ``residual_counts`` vector restores
+        decrements so the mutable residual count vector restores
         exactly, and resume validates a demand fingerprint.
         """
         from ..traffic.instances import Instance
@@ -1237,12 +1009,10 @@ class SolverEngine:
 
         obj = resolve_objective(objective)
         space = self.space
-        index = space.index
-        dist_by_bit = space.dist
         residual_counts = [0] * len(space.edges)
         for e, m in instance.demand.items():
             if m > 0:
-                residual_counts[index[e]] = m
+                residual_counts[space.index[e]] = m
         demand_bits = [b for b, m in enumerate(residual_counts) if m]
         st = stats if stats is not None else SolverStats()
         if not demand_bits:
@@ -1271,7 +1041,7 @@ class SolverEngine:
             keep = [i for k, i in enumerate(keep) if k not in dropped]
 
         weights, denom, uncoverable = _bound_fragments(
-            dist_by_bit,
+            space.dist,
             [table.masks[i] for i in keep],
             [table.bit_lists[i] for i in keep],
             demand_bits,
@@ -1287,35 +1057,12 @@ class SolverEngine:
             for b in covered_bits:
                 per_bit[b].append(i)
 
-        blocks = table.blocks
-        bit_lists = table.bit_lists
-        costs = {i: obj.block_cost(table.blocks[i]) for i in keep}
-        min_cost = min(costs.values(), default=1)
-        max_cost = max(costs.values(), default=1)
-        node_bound = obj.node_bound
-        track_parity = obj.track_parity
-        edges = space.edges
-        total_requests = sum(residual_counts)
-        W_root = sum(residual_counts[b] * weights[b] for b in demand_bits)
-        # Residual demand-degree parity per vertex, maintained alongside
-        # residual_counts when the objective's bound wants it.
-        odd_root = 0
-        if track_parity:
-            degree = [0] * n
-            for b in demand_bits:
-                a, c = edges[b]
-                degree[a] += residual_counts[b]
-                degree[c] += residual_counts[b]
-            for v, d in enumerate(degree):
-                if d % 2:
-                    odd_root |= 1 << v
-
-        best_blocks: list[CycleBlock] | None = None
         # Exclusive threshold: one admitted block per request always
         # suffices, so this is a true upper limit (max_cost = 1 recovers
         # min_covering's historical total_requests + 1).
-        best_count = max_cost * total_requests + 1
-
+        max_cost = max((obj.block_cost(table.blocks[i]) for i in keep), default=1)
+        best_count = max_cost * sum(residual_counts) + 1
+        best_blocks: list[CycleBlock] | None = None
         greedy_idx, leftover = self.greedy_cover_indices(
             dict(instance.demand), allowed_sizes=allowed_sizes
         )
@@ -1330,213 +1077,38 @@ class SolverEngine:
 
         # Root symmetry breaking is sound only when the demand itself is
         # preserved by the ring's rotations and reflections.
-        symmetric = _is_dihedral_invariant(instance)
-        root_bit = min(demand_bits)
         root_cands: list[int] | None = None
-        if symmetric:
-            root_cands, _ = _orbit_representatives(n, blocks, per_bit[root_bit])
+        if _is_dihedral_invariant(instance):
+            root_cands, _ = _orbit_representatives(
+                n, table.blocks, per_bit[demand_bits[0]]
+            )
 
-        # The numpy kernel vectorizes candidate scoring only — the
-        # instance loop's mutable residual vector and ``decremented``
-        # bookkeeping stay in Python (they are serialization-ordered).
-        # argsort(kind="stable") over the same key keeps the scored
-        # lists, and therefore the node sequence, identical.
-        korder = None
-        if self.kernel == "numpy":
-            from .kernel import InstanceOrder
-
-            korder = InstanceOrder(n, self.max_size)
-
-        memo = CappedMemo(memo_cap())
-        best: list = [best_count, best_blocks]
-        chosen: list[CycleBlock] = []
-        # Frame layout: [used, remaining, W, odd, scored, cursor,
-        # decremented] — ``decremented`` records the chord bits whose
-        # residual count was reduced on *entering* this frame's node,
-        # replayed backwards when the frame pops (and serialized, so a
-        # resumed search restores ``residual_counts`` exactly).
-        frames: list[list] = []
-        demand_fingerprint = sorted(
-            [a, b, m] for (a, b), m in instance.demand.items() if m > 0
+        model = _InstanceModel(
+            self,
+            obj,
+            residual_counts=residual_counts,
+            keep=keep,
+            weights=weights,
+            denom=denom,
+            max_cover=max_cover,
+            per_bit=per_bit,
+            root_cands=root_cands,
+            dominance=dominance,
+            allowed_sizes=allowed_sizes,
+            demand=sorted([a, b, m] for (a, b), m in instance.demand.items() if m > 0),
         )
-
-        def visit(used: int, remaining: int, W: int, odd: int):
-            """Process one search node and return the scored candidate
-            list to expand, or ``None`` when it is a leaf or pruned."""
-            st.nodes += 1
-            if remaining == 0:
-                if used < best[0]:
-                    best[0] = used
-                    best[1] = list(chosen)
-                return None
-            bound = node_bound(
-                frac_units=W,
-                frac_denom=denom,
-                residual_requests=remaining,
-                max_cover=max_cover,
-                min_cost=min_cost,
-                odd_vertices=odd.bit_count(),
-            )
-            if used + (bound if bound > min_cost else min_cost) >= best[0]:
-                return None
-            key = tuple(residual_counts)
-            prev = memo.get(key)
-            if prev is not None and prev <= used:
-                return None
-            memo.store(key, used)
-            target = -1
-            for b in demand_bits:
-                if residual_counts[b]:
-                    target = b
-                    break
-            cands = per_bit[target]
-            if used == 0 and root_cands is not None and target == root_bit:
-                cands = root_cands
-            if korder is not None:
-                return korder.order(cands, residual_counts)
-            return sorted(
-                cands,
-                key=lambda i: -sum(
-                    dist_by_bit[b] for b in bit_lists[i] if residual_counts[b] > 0
-                ),
-            )
-
-        def capture() -> SearchCheckpoint:
-            return SearchCheckpoint(
-                kind=KIND_INSTANCE,
-                n=n,
-                max_size=self.max_size,
-                objective=obj.name,
-                dominance=dominance,
-                allowed_sizes=(
-                    tuple(allowed_sizes) if allowed_sizes is not None else None
-                ),
-                nodes=st.nodes,
-                best_value=best[0],
-                best_blocks=(
-                    tuple(blk.vertices for blk in best[1])
-                    if best[1] is not None
-                    else None
-                ),
-                frames=[
-                    [fr[0], fr[1], fr[2], fr[3], list(fr[4]), fr[5], list(fr[6])]
-                    for fr in frames
-                ],
-                memo=list(memo.items()),
-                residual_counts=list(residual_counts),
-                demand=demand_fingerprint,
-                resumes=(checkpoint.resumes + 1) if checkpoint is not None else 0,
-            )
-
-        if checkpoint is not None:
-            checkpoint.check_compatible(
-                kind=KIND_INSTANCE,
-                n=n,
-                max_size=self.max_size,
-                objective=obj.name,
-                dominance=dominance,
-                allowed_sizes=(
-                    tuple(allowed_sizes) if allowed_sizes is not None else None
-                ),
-                demand=demand_fingerprint,
-            )
-            st.nodes = checkpoint.nodes
-            best[0] = checkpoint.best_value
-            best[1] = (
-                [CycleBlock(tuple(vs)) for vs in checkpoint.best_blocks]
-                if checkpoint.best_blocks is not None
-                else None
-            )
-            for key, value in checkpoint.memo:
-                memo.store(key, value)
-            if checkpoint.residual_counts is not None:
-                residual_counts[:] = checkpoint.residual_counts
-            frames = [
-                [used, remaining, W, odd, list(scored), cursor, list(dec)]
-                for used, remaining, W, odd, scored, cursor, dec in checkpoint.frames
-            ]
-            for k in range(len(frames) - 1):
-                fr = frames[k]
-                chosen.append(blocks[fr[4][fr[5] - 1]])
-        else:
-            scored0 = visit(0, total_requests, W_root, odd_root)
-            if scored0 is not None:
-                frames.append([0, total_requests, W_root, odd_root, scored0, 0, []])
-
-        poll_floor = st.nodes
-        next_flush = (
-            st.nodes + checkpoint_every
-            if checkpoint_every and on_checkpoint is not None
-            else None
+        best_count, best_blocks = _branch_and_bound(
+            model,
+            best_value=best_count,
+            best_blocks=best_blocks,
+            node_limit=node_limit,
+            st=st,
+            deadline=deadline,
+            preempt=preempt,
+            checkpoint=checkpoint,
+            checkpoint_every=checkpoint_every,
+            on_checkpoint=on_checkpoint,
         )
-
-        while frames:
-            if st.nodes > node_limit:
-                raise SolverError(
-                    f"instance solver exceeded node limit {node_limit}",
-                    checkpoint=capture(),
-                    best_blocks=list(best[1]) if best[1] is not None else None,
-                    best_value=best[0],
-                    stats=st,
-                )
-            if st.nodes & DEADLINE_POLL_MASK == 0 and st.nodes > poll_floor:
-                if deadline is not None and time.time() > deadline:
-                    raise SolverPreempted(
-                        f"solver exceeded its time budget for n={n}",
-                        checkpoint=capture(),
-                        best_blocks=list(best[1]) if best[1] is not None else None,
-                        best_value=best[0],
-                        stats=st,
-                    )
-                if preempt is not None and preempt(st):
-                    raise SolverPreempted(
-                        f"solver preempted at {st.nodes} nodes for n={n}",
-                        checkpoint=capture(),
-                        best_blocks=list(best[1]) if best[1] is not None else None,
-                        best_value=best[0],
-                        stats=st,
-                    )
-            if next_flush is not None and st.nodes >= next_flush:
-                on_checkpoint(capture())
-                next_flush = st.nodes + checkpoint_every
-            fr = frames[-1]
-            scored = fr[4]
-            cursor = fr[5]
-            if cursor >= len(scored):
-                frames.pop()
-                for b in fr[6]:
-                    residual_counts[b] += 1
-                if frames:
-                    chosen.pop()
-                continue
-            fr[5] = cursor + 1
-            i = scored[cursor]
-            decremented: list[int] = []
-            dW = 0
-            new_odd = fr[3]
-            for b in bit_lists[i]:
-                if residual_counts[b] > 0:
-                    residual_counts[b] -= 1
-                    decremented.append(b)
-                    dW += weights[b]
-                    if track_parity:
-                        a, c = edges[b]
-                        new_odd ^= (1 << a) | (1 << c)
-            chosen.append(blocks[i])
-            child_used = fr[0] + costs[i]
-            child_remaining = fr[1] - len(decremented)
-            child_W = fr[2] - dW
-            child_scored = visit(child_used, child_remaining, child_W, new_odd)
-            if child_scored is None:
-                chosen.pop()
-                for b in decremented:
-                    residual_counts[b] += 1
-            else:
-                frames.append(
-                    [child_used, child_remaining, child_W, new_odd,
-                     child_scored, 0, decremented]
-                )
-        best_count, best_blocks = best
         if best_blocks is None:
             raise SolverError("no covering found (node limit too small?)")
         st.best_value = best_count
@@ -1689,8 +1261,589 @@ class SolverEngine:
         return None
 
 
+
 # ---------------------------------------------------------------------------
-# Front doors (historical signatures; re-exported by repro.core.solver)
+# The branch-and-bound driver and its residual models
+# ---------------------------------------------------------------------------
+#
+# One explicit-stack loop (:func:`_branch_and_bound`) runs every exact
+# covering search.  It owns the frame stack, the chosen-block path, node
+# accounting, the node-limit/deadline/preempt checks, and checkpoint
+# capture and resume.  What a search node *is* lives in a residual
+# model: :class:`_KnModel` (the covered-chord bitmask of ``K_n``,
+# checkpoint kind ``kn``) or :class:`_InstanceModel` (the per-chord
+# residual count vector of an arbitrary demand, kind ``instance``).
+#
+# Every frame starts with the same four slots:
+#
+#   [scored, cursor, bpu, entries, <model state ...>]
+#
+# ``scored`` is the node's candidate blocks in expansion order and
+# ``cursor`` the next one to try; frame k's active child is always
+# ``scored[cursor - 1]``, so the chosen-block path is implicit in the
+# stack.  ``entries[k]`` is child k's (−mass, ΔW, newly covered, parity
+# toggle) and ``bpu[k]`` its *bound plus cost*: the child's accumulated
+# cost plus the objective's lower bound on what remains (for a child
+# that completes a covering, just its cost).  A child is pruned by the
+# bound exactly when ``bpu[k] >= best``, so the driver skips whole runs
+# of bound-pruned children in one step — counting one node per child,
+# as visiting each would.
+
+# Outcome of ``model.child`` for a child that completes a covering.
+_LEAF = object()
+
+
+def _branch_and_bound(
+    model,
+    *,
+    best_value: int,
+    best_blocks: list[CycleBlock] | None,
+    node_limit: int,
+    st: SolverStats,
+    deadline: float | None,
+    preempt,
+    checkpoint: SearchCheckpoint | None,
+    checkpoint_every: int | None,
+    on_checkpoint,
+) -> tuple[int, list[CycleBlock] | None]:
+    """Run ``model``'s search to exhaustion from the exclusive threshold
+    ``best_value`` (objective units; only strictly better coverings are
+    accepted) and return the improved ``(best_value, best_blocks)``.
+
+    A node-limit overrun raises :class:`SolverError` at exactly
+    ``node_limit + 1`` nodes; deadline overruns and truthy ``preempt``
+    polls raise :class:`SolverPreempted`.  Both carry a resumable
+    :class:`SearchCheckpoint`, and resuming one continues the identical
+    node sequence.  Deadline/preempt polls fire when the node count
+    crosses a multiple of ``DEADLINE_POLL_MASK + 1``, and
+    ``on_checkpoint`` flushes once ``checkpoint_every`` nodes have
+    passed since the last one.
+    """
+    n = model.n
+    blocks = model.blocks
+    memo = model.memo
+    best: list = [best_value, best_blocks]
+    chosen: list[int] = []
+    frames: list[list] = []
+
+    def capture() -> SearchCheckpoint:
+        return SearchCheckpoint(
+            kind=model.kind,
+            n=n,
+            max_size=model.max_size,
+            objective=model.objective,
+            nodes=st.nodes,
+            best_value=best[0],
+            best_blocks=(
+                tuple(blk.vertices for blk in best[1]) if best[1] is not None else None
+            ),
+            frames=[model.dump(fr) for fr in frames],
+            memo=list(memo.items()),
+            residual_counts=model.residual_counts(),
+            resumes=(checkpoint.resumes + 1) if checkpoint is not None else 0,
+            **model.config,
+        )
+
+    def overrun(error, message: str):
+        return error(
+            message,
+            checkpoint=capture(),
+            best_blocks=list(best[1]) if best[1] is not None else None,
+            best_value=best[0],
+            stats=st,
+        )
+
+    if checkpoint is not None:
+        checkpoint.check_compatible(
+            kind=model.kind,
+            n=n,
+            max_size=model.max_size,
+            objective=model.objective,
+            **model.config,
+        )
+        st.nodes = checkpoint.nodes
+        best[0] = checkpoint.best_value
+        best[1] = (
+            [CycleBlock(tuple(vs)) for vs in checkpoint.best_blocks]
+            if checkpoint.best_blocks is not None
+            else None
+        )
+        for key, value in checkpoint.memo:
+            memo.store(key, value)
+        frames = model.load(checkpoint)
+        chosen = [fr[0][fr[1] - 1] for fr in frames[:-1]]
+    else:
+        st.nodes += 1
+        root = model.root(best[0])
+        if root is not None:
+            frames.append(root)
+
+    nodes = st.nodes
+    next_poll = (nodes | DEADLINE_POLL_MASK) + 1
+    next_flush = None
+    if checkpoint_every and on_checkpoint is not None:
+        next_flush = nodes + checkpoint_every
+
+    def slow_threshold() -> int:
+        at = min(node_limit + 1, next_poll)
+        return at if next_flush is None else min(at, next_flush)
+
+    slow_at = slow_threshold()
+    child = model.child
+    while frames:
+        if nodes >= slow_at:
+            st.nodes = nodes
+            if nodes > node_limit:
+                raise overrun(SolverError, model.limit_message(node_limit))
+            if nodes >= next_poll:
+                next_poll = (nodes | DEADLINE_POLL_MASK) + 1
+                if deadline is not None and time.time() > deadline:
+                    raise overrun(
+                        SolverPreempted, f"solver exceeded its time budget for n={n}"
+                    )
+                if preempt is not None and preempt(st):
+                    raise overrun(
+                        SolverPreempted, f"solver preempted at {nodes} nodes for n={n}"
+                    )
+            if next_flush is not None and nodes >= next_flush:
+                on_checkpoint(capture())
+                next_flush = nodes + checkpoint_every
+            slow_at = slow_threshold()
+        fr = frames[-1]
+        bpu = fr[2]
+        cursor = k = fr[1]
+        m = len(bpu)
+        threshold = best[0]
+        while k < m and bpu[k] >= threshold:
+            k += 1
+        if k != cursor:
+            if nodes + (k - cursor) > node_limit:
+                # Count only up to the limit, so the raise fires at
+                # exactly node_limit + 1 with the cursor just past the
+                # child that crossed it.
+                fr[1] = cursor + node_limit + 1 - nodes
+                nodes = node_limit + 1
+                continue
+            nodes += k - cursor
+        if k == m:
+            frames.pop()
+            model.pop(fr)
+            if frames:
+                chosen.pop()
+            continue
+        nodes += 1
+        fr[1] = k + 1
+        outcome = child(fr, k)
+        if outcome is None:
+            continue
+        i = fr[0][k]
+        if outcome is _LEAF:
+            best[0] = bpu[k]
+            best[1] = [blocks[j] for j in chosen] + [blocks[i]]
+        else:
+            frames.append(outcome)
+            chosen.append(i)
+    st.nodes = nodes
+    return best[0], best[1]
+
+
+class _ChildEntries(dict):
+    """One candidate block's child evaluations, filled on demand: key
+    ``positive_residual_mask & block_mask`` → ``(−mass, ΔW, newly
+    covered, parity toggle)``.  A block covering ``s`` chords has at most
+    ``2**s`` distinct keys, so each is computed once per search and then
+    only looked up."""
+
+    __slots__ = ("bits", "dist", "weights", "ends")
+
+    def __init__(self, bits: tuple[int, ...], dist, weights, ends) -> None:
+        super().__init__()
+        self.bits = bits
+        self.dist = dist
+        self.weights = weights
+        self.ends = ends
+
+    def __missing__(self, key: int) -> tuple[int, int, int, int]:
+        dist, weights, ends = self.dist, self.weights, self.ends
+        neg_mass = dW = count = toggle = 0
+        for b in self.bits:
+            if (key >> b) & 1:
+                neg_mass -= dist[b]
+                dW += weights[b]
+                count += 1
+                toggle ^= ends[b]
+        entry = self[key] = (neg_mass, dW, count, toggle)
+        return entry
+
+
+class _ResidualModel:
+    """What both residual models share: the candidate table, objective
+    costs and bound, the transposition memo, and the per-node child
+    evaluation (:meth:`_score`)."""
+
+    def __init__(
+        self,
+        engine: "SolverEngine",
+        obj: Objective,
+        table: BlockTable,
+        usable,
+        weights,
+        denom: int,
+        max_cover: int,
+        allowed_sizes: tuple[int, ...] | None,
+        config: dict,
+    ) -> None:
+        space = engine.space
+        self.n = engine.n
+        self.max_size = engine.max_size
+        self.objective = obj.name
+        # The search configuration a checkpoint records and a resume
+        # must match (beyond kind, n, max_size and objective).
+        self.config = dict(
+            config,
+            allowed_sizes=tuple(allowed_sizes) if allowed_sizes is not None else None,
+        )
+        self.blocks = table.blocks
+        self.masks = table.masks
+        self.bit_lists = table.bit_lists
+        self.weights = weights
+        ends = (
+            [(1 << a) | (1 << c) for a, c in space.edges]
+            if obj.track_parity
+            else [0] * len(space.edges)
+        )
+        costs = [obj.block_cost(blk) for blk in table.blocks]
+        self.costs = costs
+        min_cost = min((costs[i] for i in usable), default=1)
+        node_bound = obj.node_bound
+
+        def bound(frac_units: int, residual: int, odd: int) -> int:
+            value = node_bound(
+                frac_units=frac_units,
+                frac_denom=denom,
+                residual_requests=residual,
+                max_cover=max_cover,
+                min_cost=min_cost,
+                odd_vertices=odd.bit_count(),
+            )
+            return value if value > min_cost else min_cost
+
+        self.bound = bound
+        # The bound is a function of (W, residual requests, odd mask)
+        # alone and a search meets few distinct triples (about 360 in
+        # the n = 10 proof), so each is computed once and then looked up.
+        self.bound_cache: dict[tuple[int, int, int], int] = {}
+        self.entries = [
+            _ChildEntries(bits, space.dist, weights, ends) for bits in table.bit_lists
+        ]
+        self.memo = CappedMemo(memo_cap())
+
+    def _score(
+        self, cands, pos: int, used: int, W: int, odd: int, remaining: int, *,
+        ordered: bool,
+    ) -> list:
+        """Evaluate every child of a node once: its entry (keyed by the
+        node's positive-residual mask ``pos``) and its bound plus cost.
+        Unless ``ordered`` (a resumed frame), the candidates are first
+        sorted by descending residual mass — stable, so the candidate
+        list's own order breaks ties."""
+        entries = self.entries
+        masks = self.masks
+        ents = [entries[i][pos & masks[i]] for i in cands]
+        if not ordered and len(cands) > 1:
+            rank = sorted(range(len(cands)), key=[e[0] for e in ents].__getitem__)
+            cands = [cands[j] for j in rank]
+            ents = [ents[j] for j in rank]
+        else:
+            cands = list(cands)
+        costs = self.costs
+        bound = self.bound
+        cache = self.bound_cache
+        bpu = []
+        for (_, dW, count, toggle), i in zip(ents, cands):
+            cost = used + costs[i]
+            if count == remaining:
+                bpu.append(cost)
+            else:
+                key = (W - dW, remaining - count, odd ^ toggle)
+                b = cache.get(key)
+                if b is None:
+                    b = cache[key] = bound(*key)
+                bpu.append(cost + b)
+        return [cands, 0, bpu, ents]
+
+    def _enter(self, key, used: int) -> bool:
+        """Transposition memo: False when ``key`` was already reached at
+        no greater cost, otherwise record it."""
+        prev = self.memo.get(key)
+        if prev is not None and prev <= used:
+            return False
+        self.memo.store(key, used)
+        return True
+
+    def pop(self, fr: list) -> None:
+        pass
+
+    def residual_counts(self) -> list[int] | None:
+        return None
+
+
+class _KnModel(_ResidualModel):
+    """All-to-All demand on ``K_n`` over the (possibly size-restricted)
+    convex pool: a node's residual is its covered-chord bitmask, the
+    memo key the uncovered mask's dihedral canonical form.
+
+    Frame: ``[scored, cursor, bpu, entries, covered, used, W, odd]``.
+    """
+
+    kind = KIND_KN
+
+    def __init__(
+        self,
+        engine: "SolverEngine",
+        obj: Objective,
+        *,
+        root_cands: list[int],
+        branching: str,
+        use_memo: bool,
+        allowed_sizes: tuple[int, ...] | None,
+    ) -> None:
+        table = engine._table("convex", allowed_sizes)
+        super().__init__(
+            engine,
+            obj,
+            table,
+            range(len(table.blocks)),
+            table.chord_weights,
+            table.weight_denom,
+            min(engine.max_size, max((blk.size for blk in table.blocks), default=1)),
+            allowed_sizes,
+            dict(branching=branching, use_memo=use_memo),
+        )
+        self.full = engine.space.full_mask
+        self.per_edge = table.per_edge
+        self.root_cands = root_cands
+        order = engine._branch_order(table, branching)
+        self.order = None if order == list(range(len(order))) else order
+        self.canonical = _mask_canonicalizer(engine.n) if use_memo else None
+        self.W_root = sum(table.chord_weights)
+        # Residual demand-degree parity per vertex: All-to-All leaves
+        # every vertex at degree n − 1.
+        self.odd_root = (
+            ((1 << engine.n) - 1) if obj.track_parity and (engine.n - 1) % 2 else 0
+        )
+
+    def _frame(self, covered: int, used: int, W: int, odd: int, scored=None) -> list:
+        unc = self.full & ~covered
+        if scored is None:
+            if covered == 0:
+                cands = self.root_cands
+            elif self.order is None:
+                cands = self.per_edge[(unc & -unc).bit_length() - 1]
+            else:
+                cands = self.per_edge[next(e for e in self.order if (unc >> e) & 1)]
+        else:
+            cands = scored
+        fr = self._score(
+            cands, unc, used, W, odd, unc.bit_count(), ordered=scored is not None
+        )
+        fr += (covered, used, W, odd)
+        return fr
+
+    def root(self, best_value: int) -> list | None:
+        full = self.full
+        if self.bound(self.W_root, full.bit_count(), self.odd_root) >= best_value:
+            return None
+        if self.canonical is not None and not self._enter(self.canonical(full), 0):
+            return None
+        return self._frame(0, 0, self.W_root, self.odd_root)
+
+    def child(self, fr: list, k: int):
+        i = fr[0][k]
+        covered = fr[4] | self.masks[i]
+        if covered == self.full:
+            return _LEAF
+        used = fr[5] + self.costs[i]
+        if self.canonical is not None and not self._enter(
+            self.canonical(self.full & ~covered), used
+        ):
+            return None
+        _, dW, _, toggle = fr[3][k]
+        return self._frame(covered, used, fr[6] - dW, fr[7] ^ toggle)
+
+    def dump(self, fr: list) -> list:
+        return [fr[4], fr[5], fr[6], fr[7], list(fr[0]), fr[1]]
+
+    def load(self, checkpoint: SearchCheckpoint) -> list[list]:
+        frames = []
+        for covered, used, W, odd, scored, cursor in checkpoint.frames:
+            fr = self._frame(covered, used, W, odd, scored=list(scored))
+            fr[1] = cursor
+            frames.append(fr)
+        return frames
+
+    def limit_message(self, node_limit: int) -> str:
+        return f"solver exceeded node limit {node_limit} for n={self.n}"
+
+
+class _InstanceModel(_ResidualModel):
+    """Arbitrary demand (multiplicities allowed): a node's residual is
+    the mutable per-chord count vector, the memo key its tuple.  The
+    count of a chord drops by one for each chosen block covering it
+    while it is still positive; each frame records those decrements so
+    popping it (or resuming from a checkpoint) restores the vector.
+
+    Frame: ``[scored, cursor, bpu, entries, used, remaining, W, odd,
+    decremented, pos]`` where ``pos`` marks the chords still demanded.
+    """
+
+    kind = KIND_INSTANCE
+
+    def __init__(
+        self,
+        engine: "SolverEngine",
+        obj: Objective,
+        *,
+        residual_counts: list[int],
+        keep: list[int],
+        weights,
+        denom: int,
+        max_cover: int,
+        per_bit: dict[int, list[int]],
+        root_cands: list[int] | None,
+        dominance: bool,
+        allowed_sizes: tuple[int, ...] | None,
+        demand: list[list[int]],
+    ) -> None:
+        super().__init__(
+            engine,
+            obj,
+            engine.convex_table,
+            keep,
+            weights,
+            denom,
+            max_cover,
+            allowed_sizes,
+            dict(dominance=dominance, demand=demand),
+        )
+        self.counts = residual_counts
+        self.per_bit = per_bit
+        self.root_cands = root_cands
+        self.root_bit = min(per_bit)
+        edges = engine.space.edges
+        odd_root = 0
+        if obj.track_parity:
+            degree = [0] * engine.n
+            for b, m in enumerate(residual_counts):
+                a, c = edges[b]
+                degree[a] += m
+                degree[c] += m
+            for v, d in enumerate(degree):
+                if d % 2:
+                    odd_root |= 1 << v
+        self.odd_root = odd_root
+
+    @staticmethod
+    def _positive(counts: list[int]) -> int:
+        pos = 0
+        for b, m in enumerate(counts):
+            if m:
+                pos |= 1 << b
+        return pos
+
+    def _frame(
+        self, used: int, remaining: int, W: int, odd: int, dec: list[int], pos: int,
+        scored=None,
+    ) -> list:
+        if scored is None:
+            target = (pos & -pos).bit_length() - 1
+            cands = self.per_bit[target]
+            if used == 0 and self.root_cands is not None and target == self.root_bit:
+                cands = self.root_cands
+        else:
+            cands = scored
+        fr = self._score(
+            cands, pos, used, W, odd, remaining, ordered=scored is not None
+        )
+        fr += (used, remaining, W, odd, dec, pos)
+        return fr
+
+    def root(self, best_value: int) -> list | None:
+        counts = self.counts
+        remaining = sum(counts)
+        W_root = sum(m * w for m, w in zip(counts, self.weights))
+        if self.bound(W_root, remaining, self.odd_root) >= best_value:
+            return None
+        if not self._enter(tuple(counts), 0):
+            return None
+        return self._frame(
+            0, remaining, W_root, self.odd_root, [], self._positive(counts)
+        )
+
+    def child(self, fr: list, k: int):
+        _, dW, count, toggle = fr[3][k]
+        remaining = fr[5] - count
+        if remaining == 0:
+            return _LEAF
+        i = fr[0][k]
+        counts = self.counts
+        pos = fr[9]
+        dec: list[int] = []
+        for b in self.bit_lists[i]:
+            m = counts[b]
+            if m > 0:
+                counts[b] = m - 1
+                dec.append(b)
+                if m == 1:
+                    pos ^= 1 << b
+        used = fr[4] + self.costs[i]
+        if not self._enter(tuple(counts), used):
+            for b in dec:
+                counts[b] += 1
+            return None
+        return self._frame(used, remaining, fr[6] - dW, fr[7] ^ toggle, dec, pos)
+
+    def pop(self, fr: list) -> None:
+        counts = self.counts
+        for b in fr[8]:
+            counts[b] += 1
+
+    def residual_counts(self) -> list[int]:
+        return list(self.counts)
+
+    def dump(self, fr: list) -> list:
+        return [fr[4], fr[5], fr[6], fr[7], list(fr[0]), fr[1], list(fr[8])]
+
+    def load(self, checkpoint: SearchCheckpoint) -> list[list]:
+        counts = self.counts
+        if checkpoint.residual_counts is not None:
+            counts[:] = checkpoint.residual_counts
+        # The live counts are the top frame's node; each frame below it
+        # sits before the decrements of every frame above it.
+        replay = list(counts)
+        positives = []
+        for *_, dec in reversed(checkpoint.frames):
+            positives.append(self._positive(replay))
+            for b in dec:
+                replay[b] += 1
+        frames = []
+        for (used, remaining, W, odd, scored, cursor, dec), pos in zip(
+            checkpoint.frames, reversed(positives)
+        ):
+            fr = self._frame(
+                used, remaining, W, odd, list(dec), pos, scored=list(scored)
+            )
+            fr[1] = cursor
+            frames.append(fr)
+        return frames
+
+    @staticmethod
+    def limit_message(node_limit: int) -> str:
+        return f"instance solver exceeded node limit {node_limit}"
+
+
+# ---------------------------------------------------------------------------
+# Front doors
 # ---------------------------------------------------------------------------
 
 
@@ -1715,167 +1868,44 @@ def exact_decomposition(
     )
 
 
-def solve_min_covering(
-    n: int,
-    *,
-    upper_bound: int | None = None,
-    max_size: int = 4,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    stats: SolverStats | None = None,
-    branching: str = "lex",
-    use_memo: bool = True,
-) -> Covering:
-    """See :meth:`SolverEngine.min_covering`.  ``upper_bound`` is
-    inclusive: ``upper_bound=rho(n)`` still returns a certificate."""
-    return SolverEngine(n, max_size=max_size).min_covering(
-        upper_bound=upper_bound,
-        node_limit=node_limit,
-        stats=stats,
-        branching=branching,
-        use_memo=use_memo,
-    )
-
-
-def solve_min_covering_sharded(
-    n: int,
-    *,
-    workers: int | None = None,
-    upper_bound: int | None = None,
-    max_size: int = 4,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    stats: SolverStats | None = None,
-) -> Covering:
-    """See :meth:`SolverEngine.min_covering_sharded`."""
-    return SolverEngine(n, max_size=max_size).min_covering_sharded(
-        workers=workers,
-        upper_bound=upper_bound,
-        node_limit=node_limit,
-        stats=stats,
-    )
-
-
-def solve_min_covering_instance(
-    instance,
-    *,
-    max_size: int = 4,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    stats: SolverStats | None = None,
-    dominance: bool = True,
-) -> Covering:
-    """See :meth:`SolverEngine.min_covering_instance`."""
-    from ..traffic.instances import Instance
-
-    if not isinstance(instance, Instance):
-        raise SolverError(f"expected an Instance, got {type(instance).__name__}")
-    return SolverEngine(instance.n, max_size=max_size).min_covering_instance(
-        instance, node_limit=node_limit, stats=stats, dominance=dominance
-    )
-
-
 def _sharded_root_worker(
     payload: tuple[
-        int, int, tuple[int, ...], int, int, str, float | None,
-        str, tuple[int, ...] | None, str,
+        int, int, tuple[int, ...], int, int, str, bool, float | None,
+        str, tuple[int, ...] | None,
     ],
 ) -> tuple[int | None, list[tuple[int, ...]] | None, int]:
     """One shard of a root-orbit-partitioned certification: search the
     given root candidates only, starting from the broadcast incumbent
     value (exclusive threshold, objective units).  The objective
-    crosses the process boundary by registry name, the kernel by its
-    resolved name (a worker without numpy falls back to the reference
-    kernel — same proof either way).  Returns a strictly-better
-    covering's vertex lists or ``None``, plus the shard's node count."""
+    crosses the process boundary by registry name.  Returns a
+    strictly-better covering's vertex lists or ``None``, plus the
+    shard's node count."""
     (
-        n, max_size, root_cands, best_count, node_limit, branching, deadline,
-        objective_name, allowed_sizes, kernel,
+        n, max_size, root_cands, best_count, node_limit, branching, use_memo,
+        deadline, objective_name, allowed_sizes,
     ) = payload
-    engine = SolverEngine(n, max_size=max_size, kernel=kernel)
+    engine = SolverEngine(n, max_size=max_size)
     st = SolverStats()
-    obj = resolve_objective(objective_name)
-    table = engine._table("convex", allowed_sizes)
-    order = engine._branch_order(table, branching)
-    count, blocks = engine._covering_search(
+    model = _KnModel(
+        engine,
+        resolve_objective(objective_name),
         root_cands=list(root_cands),
-        best_count=best_count,
+        branching=branching,
+        use_memo=use_memo,
+        allowed_sizes=allowed_sizes,
+    )
+    count, blocks = _branch_and_bound(
+        model,
+        best_value=best_count,
         best_blocks=None,
         node_limit=node_limit,
         st=st,
-        order=order,
         deadline=deadline,
-        objective=obj,
-        allowed_sizes=allowed_sizes,
+        preempt=None,
+        checkpoint=None,
+        checkpoint_every=None,
+        on_checkpoint=None,
     )
     if blocks is None:
         return None, None, st.nodes
     return count, [blk.vertices for blk in blocks], st.nodes
-
-
-def _solve_many_worker(
-    payload: tuple[int, int | None, int, int, str | None],
-) -> tuple[Covering, SolverStats]:
-    n, upper_bound, max_size, node_limit, kernel = payload
-    st = SolverStats()
-    cov = SolverEngine(n, max_size=max_size, kernel=kernel).min_covering(
-        upper_bound=upper_bound, node_limit=node_limit, stats=st
-    )
-    return cov, st
-
-
-def solve_many(
-    ns,
-    *,
-    upper_bounds=None,
-    max_size: int = 4,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    workers: int | None = None,
-    shard_threshold: int | None = None,
-    kernel: str | None = None,
-) -> list[tuple[Covering, SolverStats]]:
-    """Batched front door: certified min coverings for every ring size in
-    ``ns``, fanned out over :func:`repro.util.parallel.parallel_map`.
-
-    ``upper_bounds`` is an optional parallel sequence of inclusive
-    bounds (``None`` entries mean unbounded).  Order of results matches
-    ``ns``.  Block tables and edge spaces are memoized per process, so
-    serial sweeps (and each pool worker) build them at most once per
-    ``(n, max_size)``.
-
-    The batch is chunked by estimated cost (exponential in n), so one
-    large ring size cannot serialise the sweep behind round-robin
-    chunks.  Ring sizes ≥ ``shard_threshold`` additionally scale *out*:
-    each is certified on its own via
-    :meth:`SolverEngine.min_covering_sharded`, partitioning its root
-    orbits across all workers instead of occupying one.
-    """
-    ns = tuple(ns)
-    kern = resolve_kernel(kernel)
-    if upper_bounds is None:
-        ubs: tuple[int | None, ...] = (None,) * len(ns)
-    else:
-        ubs = tuple(upper_bounds)
-        if len(ubs) != len(ns):
-            raise SolverError(
-                f"upper_bounds has {len(ubs)} entries for {len(ns)} ring sizes"
-            )
-    results: dict[int, tuple[Covering, SolverStats]] = {}
-    batched: list[tuple[int, tuple[int, int | None, int, int, str]]] = []
-    for pos, (n, ub) in enumerate(zip(ns, ubs)):
-        if shard_threshold is not None and n >= shard_threshold:
-            st = SolverStats()
-            cov = SolverEngine(
-                n, max_size=max_size, kernel=kern
-            ).min_covering_sharded(
-                workers=workers, upper_bound=ub, node_limit=node_limit, stats=st
-            )
-            results[pos] = (cov, st)
-        else:
-            batched.append((pos, (n, ub, max_size, node_limit, kern)))
-    if batched:
-        payloads = [payload for _, payload in batched]
-        weights = [4.0 ** payload[0] for payload in payloads]
-        solved = parallel_map(
-            _solve_many_worker, payloads, workers=workers, weights=weights
-        )
-        for (pos, _), result in zip(batched, solved):
-            results[pos] = result
-    return [results[pos] for pos in range(len(ns))]

@@ -138,46 +138,9 @@ class Objective(ABC):
         candidate retires; ``min_cost`` the cheapest candidate's block
         cost; ``odd_vertices`` the number of vertices with odd residual
         demand degree (0 unless ``track_parity``).  Never overestimate —
-        the branch-and-bound prunes with this.
+        the branch-and-bound prunes with this.  Must depend on its
+        arguments alone: the engine caches the value per search.
         """
-
-    def node_bound_batch(
-        self,
-        *,
-        frac_units,
-        frac_denom: int,
-        residual_requests,
-        max_cover: int,
-        min_cost: int,
-        odd_vertices,
-    ):
-        """Vectorized :meth:`node_bound` over aligned per-child arrays
-        (the numpy kernel evaluates a whole frontier slice at once).
-
-        ``frac_units``/``residual_requests`` are integer arrays of
-        equal length; ``odd_vertices`` is an aligned array, or the
-        plain int ``0`` when the objective does not track parity; the
-        scalars mean what they mean in :meth:`node_bound`.  Must return a sequence elementwise
-        equal to the scalar hook — the kernel-parity harness enforces
-        this for the built-ins.  The default loops over the scalar
-        hook, so custom objectives are correct (if unvectorized) with
-        no extra work; overrides may assume numpy is importable (the
-        numpy kernel is the only caller).
-        """
-        from itertools import repeat
-
-        odds = repeat(odd_vertices) if isinstance(odd_vertices, int) else odd_vertices
-        return [
-            self.node_bound(
-                frac_units=int(w),
-                frac_denom=frac_denom,
-                residual_requests=int(r),
-                max_cover=max_cover,
-                min_cost=min_cost,
-                odd_vertices=int(o),
-            )
-            for w, r, o in zip(frac_units, residual_requests, odds)
-        ]
 
     # -- candidate admissibility ----------------------------------------
 
@@ -298,25 +261,6 @@ class MinBlocksObjective(Objective):
         card = -(-residual_requests // max_cover)
         return card if card > bound else bound
 
-    def node_bound_batch(
-        self,
-        *,
-        frac_units,
-        frac_denom: int,
-        residual_requests,
-        max_cover: int,
-        min_cost: int,
-        odd_vertices,
-    ):
-        import numpy as np
-
-        # ``(x + d - 1) // d`` is ``ceil(x / d)`` for d > 0, same as the
-        # scalar hook's ``-(-x // d)`` but one array temporary cheaper.
-        return np.maximum(
-            (frac_units + (frac_denom - 1)) // frac_denom,
-            (residual_requests + (max_cover - 1)) // max_cover,
-        )
-
     def instance_certificate(self, instance: "Instance") -> "LowerBoundCertificate":
         from .bounds import instance_lower_bound
 
@@ -389,25 +333,6 @@ class MinTotalSizeObjective(Objective):
             blocks_needed = card
         packed = min_cost * blocks_needed
         return packed if packed > slots else slots
-
-    def node_bound_batch(
-        self,
-        *,
-        frac_units,
-        frac_denom: int,
-        residual_requests,
-        max_cover: int,
-        min_cost: int,
-        odd_vertices,
-    ):
-        import numpy as np
-
-        slots = residual_requests + odd_vertices // 2
-        blocks_needed = np.maximum(
-            (frac_units + (frac_denom - 1)) // frac_denom,
-            (residual_requests + (max_cover - 1)) // max_cover,
-        )
-        return np.maximum(min_cost * blocks_needed, slots)
 
     def instance_certificate(self, instance: "Instance") -> "LowerBoundCertificate":
         from .bounds import total_size_lower_bound

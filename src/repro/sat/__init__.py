@@ -18,7 +18,7 @@ Modules:
   literals, 1UIP learning, assumptions, deterministic VSIDS), the
   contractual fallback engine;
 * :mod:`repro.sat.engines` — ``REPRO_SAT={internal,pysat}`` engine
-  selection mirroring the ``REPRO_KERNEL`` probe contract;
+  selection;
 * :mod:`repro.sat.backend` — the registered ``sat`` backend and the
   :func:`~repro.sat.backend.replay_unsat_core` certificate audit.
 """

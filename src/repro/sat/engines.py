@@ -1,13 +1,11 @@
 """SAT engine selection: the ``REPRO_SAT`` probe contract.
 
-Mirrors :func:`repro.core.kernel.resolve_kernel`: the internal CDCL
-(:class:`repro.sat.cdcl.Cdcl`) is the contractual fallback engine that
-is always present, and `python-sat`_ is an optional fast path.
-``REPRO_SAT=internal|pysat`` (or the explicit ``engine=`` argument)
-picks one; unset or ``auto`` means pysat-when-importable.  An explicit
-``pysat`` without the package installed silently falls back to
-``internal`` — same rule as ``REPRO_KERNEL=numpy`` without numpy.
-Anything else raises a :class:`~repro.util.errors.SolverError` listing
+The internal CDCL (:class:`repro.sat.cdcl.Cdcl`) is the contractual
+fallback engine that is always present, and `python-sat`_ is an
+optional fast path.  ``REPRO_SAT=internal|pysat`` (or the explicit
+``engine=`` argument) picks one; unset or ``auto`` means
+pysat-when-importable.  An explicit ``pysat`` without the package
+installed silently falls back to ``internal``.  Anything else raises a :class:`~repro.util.errors.SolverError` listing
 the runnable engines.  ``REPRO_NO_PYSAT`` (any non-empty value) makes
 the probe report pysat as absent, so CI can pin the fallback path
 without uninstalling anything.

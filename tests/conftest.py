@@ -14,7 +14,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.core.construction import optimal_covering
-from repro.core.kernel import KERNEL_ENV, numpy_available
 from repro.wdm.design import design_ring_network
 
 settings.register_profile(
@@ -33,18 +32,6 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: full-length runs (the CLI's default every-experiment sweep)"
     )
-
-
-@pytest.fixture(params=["python", "numpy"])
-def kernel(request, monkeypatch):
-    """Parametrize a test over both search kernels via ``REPRO_KERNEL``
-    (the numpy leg skips cleanly when numpy is not installed, which is
-    exactly the fallback environment the no-numpy CI job runs)."""
-    name = request.param
-    if name == "numpy" and not numpy_available():
-        pytest.skip("numpy not installed — python kernel is the fallback")
-    monkeypatch.setenv(KERNEL_ENV, name)
-    return name
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,6 @@ from repro.core.checkpoint import (
     memo_cap,
 )
 from repro.core.engine import SolverEngine, SolverStats
-from repro.core.kernel import numpy_available
 from repro.traffic.instances import all_to_all
 from repro.util.errors import SolverError, SolverPreempted
 
@@ -205,83 +204,6 @@ class TestResumeIdentity:
         covering = engine.min_covering(stats=stats, checkpoint=ckpt)
         assert stats.nodes == base.nodes
         assert covering.blocks == oracle.blocks
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy kernel not available")
-class TestKernelMigration:
-    """Checkpoints are kernel-agnostic: a proof preempted under one
-    kernel resumes under the other (the per-frame batch arrays are
-    derived data, rebuilt from the serialized frames) and finishes
-    with exactly the uninterrupted run's covering and node count."""
-
-    @pytest.mark.parametrize(
-        "first,second", [("python", "numpy"), ("numpy", "python")]
-    )
-    def test_migration_at_2500_nodes(self, first, second):
-        oracle = SolverEngine(8, kernel="python").min_covering(
-            stats=(base := SolverStats())
-        )
-        stats = SolverStats()
-        with pytest.raises(SolverPreempted) as err:
-            SolverEngine(8, kernel=first).min_covering(
-                stats=stats, preempt=_preempt_at(2500)
-            )
-        # The full wire trip, then resume under the *other* kernel.
-        ckpt = SearchCheckpoint.from_json(err.value.checkpoint.to_json())
-        assert 0 < ckpt.nodes < base.nodes
-        covering = SolverEngine(8, kernel=second).min_covering(
-            stats=stats, checkpoint=ckpt
-        )
-        assert stats.nodes == base.nodes
-        assert covering.blocks == oracle.blocks
-
-    def test_alternating_kernels_every_800_nodes(self):
-        """Multi-hop migration: every resume cycle flips the kernel;
-        the proof still lands on the uninterrupted envelope."""
-        oracle = SolverEngine(8, kernel="python").min_covering(
-            stats=(base := SolverStats())
-        )
-        kernels = ("python", "numpy")
-        ckpt = None
-        cycles = 0
-        while True:
-            stats = SolverStats()
-            floor = ckpt.nodes if ckpt is not None else 0
-            engine = SolverEngine(8, kernel=kernels[cycles % 2])
-            try:
-                covering = engine.min_covering(
-                    stats=stats,
-                    checkpoint=ckpt,
-                    preempt=_preempt_at(floor + 800),
-                )
-                break
-            except SolverPreempted as exc:
-                cycles += 1
-                assert cycles < 100, "preemption is not making progress"
-                ckpt = SearchCheckpoint.from_json(exc.checkpoint.to_json())
-        assert cycles >= 2  # both kernels actually took a turn
-        assert stats.nodes == base.nodes
-        assert covering.blocks == oracle.blocks
-
-    def test_node_limit_checkpoint_migrates(self):
-        """The node-limit raise checkpoint (clamped to exactly
-        limit + 1 under both kernels) resumes across kernels too."""
-        oracle = SolverEngine(8, kernel="python").min_covering(
-            stats=(base := SolverStats())
-        )
-        for first, second in (("python", "numpy"), ("numpy", "python")):
-            stats = SolverStats()
-            with pytest.raises(SolverError) as err:
-                SolverEngine(8, kernel=first).min_covering(
-                    stats=stats, node_limit=2500
-                )
-            assert stats.nodes == 2501
-            ckpt = SearchCheckpoint.from_json(err.value.checkpoint.to_json())
-            covering = SolverEngine(8, kernel=second).min_covering(
-                stats=stats, checkpoint=ckpt
-            )
-            assert stats.nodes == base.nodes
-            assert covering.blocks == oracle.blocks
 
 
 class TestNodeLimitPayload:

@@ -26,20 +26,14 @@ from repro.core.engine import (
     dihedral_bit_perms,
     dihedral_canonical,
     dominated_candidates,
-    solve_many,
-    solve_min_covering_sharded,
-)
-from repro.core.engine import (
     exact_decomposition,
-    solve_min_covering,
-    solve_min_covering_instance,
 )
 from repro.core.formulas import rho
 from repro.traffic.instances import Instance, all_to_all, lambda_all_to_all
 from repro.util import circular
 from repro.util.errors import SolverError
 
-# SolverStats.nodes of the seed's solve_min_covering(n) (no upper bound).
+# SolverStats.nodes of the seed's exact K_n solver (no upper bound).
 SEED_NODES = {5: 43, 6: 494, 7: 889, 8: 1_794_078, 9: 1_612_361}
 
 # Pinned ceilings for the current engine (measured: 8, 1, 32, 1, 3493,
@@ -60,13 +54,10 @@ ENGINE_NODE_CEILINGS = {
 
 
 class TestPruningRegression:
-    # The node-count tests take the ``kernel`` fixture: both kernels
-    # must reproduce the same counts (the numpy leg skips when numpy
-    # is absent — the pinned ceilings then certify the fallback path).
     @pytest.mark.parametrize("n", sorted(SEED_NODES))
-    def test_fewer_nodes_same_optimum(self, n, kernel):
+    def test_fewer_nodes_same_optimum(self, n):
         stats = SolverStats()
-        cov = solve_min_covering(n, stats=stats)
+        cov = SolverEngine(n).min_covering(stats=stats)
         assert cov.num_blocks == rho(n)
         assert cov.covers() and cov.is_drc_feasible()
         assert stats.proven_optimal
@@ -80,29 +71,29 @@ class TestPruningRegression:
         # incumbents + symmetry breaking cut n=9 by ~1000×.  Assert a
         # conservative 10× so noise never flakes the build.
         stats = SolverStats()
-        solve_min_covering(9, stats=stats)
+        SolverEngine(9).min_covering(stats=stats)
         assert stats.nodes * 10 < SEED_NODES[9]
 
     @pytest.mark.parametrize("n", sorted(ENGINE_NODE_CEILINGS))
-    def test_pinned_node_ceilings(self, n, kernel):
+    def test_pinned_node_ceilings(self, n):
         stats = SolverStats()
-        cov = solve_min_covering(n, stats=stats)
+        cov = SolverEngine(n).min_covering(stats=stats)
         assert cov.num_blocks == rho(n)
         assert stats.proven_optimal
         assert stats.nodes <= ENGINE_NODE_CEILINGS[n], (
-            f"n={n}: node-count regression under the {kernel} kernel — "
+            f"n={n}: node-count regression — "
             f"{stats.nodes} > {ENGINE_NODE_CEILINGS[n]}"
         )
 
     def test_all_small_n_certified(self):
         for n in range(4, 10):
-            assert solve_min_covering(n).num_blocks == rho(n)
+            assert SolverEngine(n).min_covering().num_blocks == rho(n)
 
     def test_past_ten_certified(self):
         # The PR's headline: ρ(10) and ρ(11) proven optimal, no hints.
         for n in (10, 11):
             stats = SolverStats()
-            cov = solve_min_covering(n, stats=stats)
+            cov = SolverEngine(n).min_covering(stats=stats)
             assert cov.num_blocks == rho(n)
             assert cov.covers() and cov.is_drc_feasible()
             assert stats.proven_optimal
@@ -112,13 +103,13 @@ class TestPruningRegression:
     def test_search_knobs_agree(self, branching, use_memo):
         # Every ablation configuration proves the same optimum.
         stats = SolverStats()
-        cov = solve_min_covering(8, branching=branching, use_memo=use_memo, stats=stats)
+        cov = SolverEngine(8).min_covering(branching=branching, use_memo=use_memo, stats=stats)
         assert cov.num_blocks == rho(8)
         assert stats.proven_optimal
 
     def test_unknown_branching_rejected(self):
         with pytest.raises(SolverError, match="branching"):
-            solve_min_covering(6, branching="mystery")
+            SolverEngine(6).min_covering(branching="mystery")
 
 
 class TestUpperBoundSemantics:
@@ -127,7 +118,7 @@ class TestUpperBoundSemantics:
         # upper_bound equal to the true optimum must still return a real
         # covering, not a trivial bound.
         stats = SolverStats()
-        cov = solve_min_covering(n, upper_bound=rho(n), stats=stats)
+        cov = SolverEngine(n).min_covering(upper_bound=rho(n), stats=stats)
         assert cov.num_blocks == rho(n)
         assert cov.covers() and cov.is_drc_feasible()
         assert stats.best_value == rho(n)
@@ -135,10 +126,10 @@ class TestUpperBoundSemantics:
 
     def test_upper_bound_below_optimum_raises(self):
         with pytest.raises(SolverError, match="no covering"):
-            solve_min_covering(6, upper_bound=rho(6) - 1)
+            SolverEngine(6).min_covering(upper_bound=rho(6) - 1)
 
     def test_upper_bound_above_optimum_unchanged(self):
-        cov = solve_min_covering(7, upper_bound=rho(7) + 3)
+        cov = SolverEngine(7).min_covering(upper_bound=rho(7) + 3)
         assert cov.num_blocks == rho(7)
 
 
@@ -192,7 +183,7 @@ class TestDihedralSymmetry:
         # λ = 1 all-to-all through the instance path (symmetry seeding on)
         # must agree with the K_n path.
         for n in (5, 6, 7):
-            via_instance = solve_min_covering_instance(all_to_all(n))
+            via_instance = SolverEngine(n).min_covering_instance(all_to_all(n))
             assert via_instance.num_blocks == rho(n)
             assert via_instance.covers()
 
@@ -200,7 +191,7 @@ class TestDihedralSymmetry:
         # A lopsided instance (symmetry breaking must stay off): the
         # optimum is easy to see — one triangle covers all three requests.
         inst = Instance(6, {(0, 1): 1, (1, 3): 1, (0, 3): 1})
-        cov = solve_min_covering_instance(inst)
+        cov = SolverEngine(inst.n).min_covering_instance(inst)
         assert cov.num_blocks == 1
         assert cov.covers(inst)
 
@@ -218,7 +209,7 @@ class TestDihedralSymmetry:
         ]
         assert orbitmates, "test premise: an orbit-mate shares chord (2, 3)"
         inst = Instance(7, {e: 1 for e in tri.edges()})
-        cov = solve_min_covering_instance(inst)
+        cov = SolverEngine(inst.n).min_covering_instance(inst)
         assert cov.num_blocks == 1
         assert cov.covers(inst)
 
@@ -231,7 +222,7 @@ class TestDihedralSymmetry:
 
     def test_lambda_instance_optimum(self):
         stats = SolverStats()
-        cov = solve_min_covering_instance(lambda_all_to_all(5, 2), stats=stats)
+        cov = SolverEngine(5).min_covering_instance(lambda_all_to_all(5, 2), stats=stats)
         assert cov.num_blocks == 2 * rho(5)
         assert stats.proven_optimal
 
@@ -240,7 +231,7 @@ class TestDihedralSymmetry:
         # multiplicities ≥ 256 (a bytes() key overflowed there).
         inst = Instance(6, {(0, 1): 300, (2, 3): 300, (0, 3): 1, (1, 4): 1})
         stats = SolverStats()
-        cov = solve_min_covering_instance(inst, stats=stats)
+        cov = SolverEngine(inst.n).min_covering_instance(inst, stats=stats)
         assert cov.covers(inst)
         assert stats.proven_optimal
         # 300 quads (0,1,2,3) retire both heavy chords; (1,4) needs its
@@ -302,8 +293,8 @@ class TestDominanceFilter:
     def test_filter_keeps_instance_optimum(self):
         # Dominance must never remove every optimal covering.
         inst = Instance(7, {(0, 2): 1, (2, 4): 1, (0, 4): 1, (1, 5): 1})
-        with_filter = solve_min_covering_instance(inst, dominance=True)
-        without = solve_min_covering_instance(inst, dominance=False)
+        with_filter = SolverEngine(inst.n).min_covering_instance(inst, dominance=True)
+        without = SolverEngine(inst.n).min_covering_instance(inst, dominance=False)
         assert with_filter.num_blocks == without.num_blocks
         assert with_filter.covers(inst)
 
@@ -327,8 +318,8 @@ class TestDominanceFilterProperties:
     @settings(max_examples=25, deadline=None)
     def test_same_optimum_with_and_without_filter(self, n, chosen, lam):
         inst = self._instance(n, chosen, lam)
-        filtered = solve_min_covering_instance(inst, dominance=True)
-        unfiltered = solve_min_covering_instance(inst, dominance=False)
+        filtered = SolverEngine(inst.n).min_covering_instance(inst, dominance=True)
+        unfiltered = SolverEngine(inst.n).min_covering_instance(inst, dominance=False)
         assert filtered.num_blocks == unfiltered.num_blocks
         assert filtered.covers(inst)
 
@@ -364,6 +355,28 @@ class TestDihedralBitPerms:
         for perm in perms:
             assert sorted(perm) == list(range(nedges))
 
+    @pytest.mark.parametrize("n", (5, 8, 11, 12))
+    def test_canonical_mask_is_min_image(self, n):
+        """The table-driven memo key equals the smallest image of the
+        mask under every ring symmetry, bit by bit (n = 12 has more
+        than 64 chord bits and takes the wide-lane path)."""
+        import random
+
+        from repro.core.engine import _mask_canonicalizer
+
+        perms = dihedral_bit_perms(n)
+        canonical = _mask_canonicalizer(n)
+        rnd = random.Random(n)
+        masks = [0, (1 << len(perms[0])) - 1] + [
+            rnd.getrandbits(len(perms[0])) for _ in range(200)
+        ]
+        for mask in masks:
+            images = [
+                sum(1 << perm[b] for b in range(len(perm)) if (mask >> b) & 1)
+                for perm in perms
+            ]
+            assert canonical(mask) == min(images)
+
     def test_perms_preserve_chord_distance(self):
         from repro.core.engine import edge_space
 
@@ -382,9 +395,9 @@ class TestShardedSolver:
 
         monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
         serial = SolverStats()
-        cov_serial = solve_min_covering(8, stats=serial)
+        cov_serial = SolverEngine(8).min_covering(stats=serial)
         sharded = SolverStats()
-        cov_sharded = solve_min_covering_sharded(8, workers=3, stats=sharded)
+        cov_sharded = SolverEngine(8).min_covering_sharded(workers=3, stats=sharded)
         assert cov_sharded.num_blocks == cov_serial.num_blocks == rho(8)
         assert cov_sharded.covers() and cov_sharded.is_drc_feasible()
         assert sharded.proven_optimal
@@ -393,83 +406,58 @@ class TestShardedSolver:
 
     def test_single_worker_degrades_to_serial(self):
         stats = SolverStats()
-        cov = solve_min_covering_sharded(7, workers=1, stats=stats)
+        cov = SolverEngine(7).min_covering_sharded(workers=1, stats=stats)
         assert cov.num_blocks == rho(7)
         assert stats.shards == 0  # plain min_covering path
 
     def test_deterministic_across_runs(self):
-        a = solve_min_covering_sharded(8, workers=2)
-        b = solve_min_covering_sharded(8, workers=2)
+        a = SolverEngine(8).min_covering_sharded(workers=2)
+        b = SolverEngine(8).min_covering_sharded(workers=2)
         assert a.blocks == b.blocks
 
-    def test_sharded_respects_upper_bound(self):
-        with pytest.raises(SolverError, match="no covering"):
-            solve_min_covering_sharded(6, workers=2, upper_bound=rho(6) - 1)
-
-
-class TestSolveMany:
-    def test_matches_serial(self):
-        ns = (4, 5, 6, 7)
-        results = solve_many(ns, upper_bounds=[rho(n) + 1 for n in ns], workers=1)
-        assert [cov.num_blocks for cov, _ in results] == [rho(n) for n in ns]
-        assert all(st.proven_optimal for _, st in results)
-
-    def test_parallel_fanout(self):
-        # Enough items to cross parallel_map's serial threshold; results
-        # must come back in order with real stats.
-        ns = (4, 5, 6, 7, 9)
-        results = solve_many(ns, upper_bounds=[rho(n) + 1 for n in ns], workers=2)
-        for n, (cov, st) in zip(ns, results):
-            assert cov.n == n
-            assert cov.num_blocks == rho(n)
-            assert st.nodes >= 1
-
-    def test_upper_bounds_length_mismatch(self):
-        with pytest.raises(SolverError, match="upper_bounds"):
-            solve_many((4, 5), upper_bounds=[3])
-
-    def test_shard_threshold_routes_large_n(self, monkeypatch):
+    def test_use_memo_reaches_the_search(self, monkeypatch):
+        """``exact_sharded`` honours ``use_memo``: one worker is the
+        serial search node for node, and two workers explore more
+        nodes without the memo than with it."""
+        from repro.api import CoverSpec, solve
         from repro.util.parallel import MAX_WORKERS_ENV
 
         monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
-        ns = (5, 8)
-        results = solve_many(ns, workers=2, shard_threshold=8)
-        for n, (cov, st) in zip(ns, results):
-            assert cov.num_blocks == rho(n)
-            assert st.proven_optimal
-        # The n = 8 entry went through the sharded path.
-        assert results[1][1].shards >= 2
-        assert results[0][1].shards == 0
+
+        def nodes(backend, use_memo, workers=None):
+            spec = CoverSpec.for_ring(
+                8, backend=backend, use_memo=use_memo, use_hints=False, workers=workers
+            )
+            return solve(spec).stats.nodes
+
+        serial = nodes("exact", use_memo=False)
+        assert serial == 5_586
+        assert nodes("exact_sharded", use_memo=False, workers=1) == serial
+        assert nodes("exact_sharded", use_memo=False, workers=2) > nodes(
+            "exact_sharded", use_memo=True, workers=2
+        )
+
+    def test_sharded_respects_upper_bound(self):
+        with pytest.raises(SolverError, match="no covering"):
+            SolverEngine(6).min_covering_sharded(workers=2, upper_bound=rho(6) - 1)
 
 
-class TestFacadeCompatibility:
+class TestPublicSurface:
     def test_public_api_importable(self):
-        from repro.core.solver import (  # noqa: F401
+        from repro.core import (  # noqa: F401
+            SolverEngine,
             SolverStats,
             enumerate_convex_blocks,
             enumerate_tight_blocks,
             exact_decomposition,
-            solve_min_covering,
-            solve_min_covering_instance,
         )
 
     def test_top_level_exports(self):
         import repro
 
         assert repro.SolverEngine is SolverEngine
-        assert repro.solve_many is solve_many
-
-    def test_facade_warns_deprecation_and_delegates(self):
-        import warnings
-
-        from repro.core import solver as facade
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cov = facade.solve_min_covering(6)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert cov.num_blocks == rho(6)
+        assert not hasattr(repro, "solve_min_covering")
 
     def test_results_are_paper_objects(self):
-        cov = solve_min_covering(6)
+        cov = SolverEngine(6).min_covering()
         assert isinstance(cov.blocks[0], CycleBlock)

@@ -9,11 +9,11 @@ from repro.core.covering import Covering
 from repro.core.formulas import rho
 from repro.core.ladder import ladder_decomposition
 from repro.core.engine import (
+    SolverEngine,
     SolverStats,
     enumerate_convex_blocks,
     enumerate_tight_blocks,
     exact_decomposition,
-    solve_min_covering,
 )
 from repro.core.verify import assert_valid_covering, routing_for_block, verify_covering
 from repro.util import circular
@@ -81,7 +81,7 @@ class TestMinCoveringSolver:
     @pytest.mark.parametrize("n", (4, 5, 6, 7))
     def test_certifies_rho(self, n):
         stats = SolverStats()
-        cov = solve_min_covering(n, upper_bound=rho(n) + 1, stats=stats)
+        cov = SolverEngine(n).min_covering(upper_bound=rho(n) + 1, stats=stats)
         assert cov.num_blocks == rho(n)
         assert cov.covers()
         assert cov.is_drc_feasible()
@@ -90,16 +90,16 @@ class TestMinCoveringSolver:
     def test_no_better_than_formula(self):
         # The solver explores strictly below the formula and fails to
         # improve — the certification direction of the theorems.
-        cov = solve_min_covering(6)
+        cov = SolverEngine(6).min_covering()
         assert cov.num_blocks == rho(6)
 
     def test_rejects_large_n(self):
         with pytest.raises(SolverError):
-            solve_min_covering(20)
+            SolverEngine(20).min_covering()
 
     def test_node_limit_enforced(self):
         with pytest.raises(SolverError):
-            solve_min_covering(8, node_limit=3)
+            SolverEngine(8).min_covering(node_limit=3)
 
 
 class TestVerifier:
@@ -154,6 +154,6 @@ class TestVerifier:
 
     def test_ladder_matches_solver_optimum(self):
         # Cross-validation: two independent optimal engines agree.
-        assert ladder_decomposition(7).num_blocks == solve_min_covering(
-            7, upper_bound=rho(7) + 1
+        assert ladder_decomposition(7).num_blocks == SolverEngine(7).min_covering(
+            upper_bound=rho(7) + 1
         ).num_blocks

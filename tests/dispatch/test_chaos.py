@@ -42,7 +42,6 @@ from repro.dispatch import (
     WorkerPreempted,
     dispatch_batch,
 )
-from repro.core.kernel import KERNEL_ENV, numpy_available
 from repro.dispatch.subproc import _SubprocessWorker, worker_command, worker_env
 
 SPECS = [CoverSpec.for_ring(n, backend="exact", use_hints=False) for n in (4, 5, 6, 7)]
@@ -192,58 +191,6 @@ class TestSpoolChaos:
         assert report.worker_deaths >= 1
         assert [r.to_json() for r in report.results] == [n8_oracle.to_json()]
         assert not ckpt_file.exists()  # completed proofs clean up
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy kernel not available")
-    @pytest.mark.parametrize(
-        "dying,reclaiming", [("numpy", "python"), ("python", "numpy")]
-    )
-    def test_checkpoint_migrates_across_kernels(
-        self, tmp_path, n8_oracle, dying, reclaiming
-    ):
-        """Same mid-proof kill, but the dying worker and the reclaiming
-        worker run *different* search kernels (``REPRO_KERNEL`` rides
-        the worker env).  Checkpoints are kernel-agnostic, so the
-        resumed proof still produces the byte-identical envelope."""
-        root = tmp_path / "spool"
-        plan, fault_env = _armed(tmp_path, Fault(kind="crash_at_node", at_node=2500))
-        ckpt_file = root / "checkpoints" / f"{N8.spec_hash}.ckpt.json"
-
-        report_box: dict = {}
-
-        def _dispatch():
-            report_box["report"] = dispatch_batch(
-                [N8],
-                transport=SpoolTransport(root, spawn_workers=False),
-                workers=1,
-                job_timeout=8.0,
-            )
-
-        dispatcher = threading.Thread(target=_dispatch, daemon=True)
-        dispatcher.start()
-
-        chaos = subprocess.Popen(
-            worker_command()
-            + ["--spool", str(root), "--poll", "0.01", "--checkpoint-every", "512"],
-            env=worker_env({**fault_env, KERNEL_ENV: dying}),
-        )
-        assert chaos.wait(timeout=60) == FAULT_EXIT_CODE
-        assert not any(f.token and os.path.exists(f.token) for f in plan.faults)
-        assert 0 < json.loads(ckpt_file.read_text())["nodes"] < n8_oracle.stats.nodes
-
-        healthy = subprocess.Popen(
-            worker_command() + ["--spool", str(root), "--poll", "0.01"],
-            env=worker_env({KERNEL_ENV: reclaiming}),
-        )
-        try:
-            dispatcher.join(timeout=120)
-            assert not dispatcher.is_alive()
-        finally:
-            healthy.terminate()
-            healthy.wait(timeout=10)
-        report = report_box["report"]
-        assert report.worker_deaths >= 1
-        assert [r.to_json() for r in report.results] == [n8_oracle.to_json()]
-        assert not ckpt_file.exists()
 
 
 class TestLeases:

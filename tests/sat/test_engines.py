@@ -1,4 +1,4 @@
-"""The ``REPRO_SAT`` engine contract, mirroring the kernel probe tests.
+"""The ``REPRO_SAT`` engine contract.
 
 The env var must behave identically whether or not python-sat is
 installed: unknown names fail loudly with the runnable list, an

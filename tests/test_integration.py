@@ -13,7 +13,7 @@ from repro import (
     theorem_cycle_mix,
 )
 from repro.core.pole import pole_decomposition
-from repro.core.engine import solve_min_covering
+from repro.core.engine import SolverEngine
 from repro.survivability.failures import LinkFailure
 from repro.survivability.protection import ProtectionSimulator
 from repro.wdm.adm import evaluate_cost
@@ -59,7 +59,7 @@ class TestPaperPipeline:
         for n in range(4, 8):
             formula = rho(n)
             constructed = optimal_covering(n).num_blocks
-            solved = solve_min_covering(n, upper_bound=formula + 1).num_blocks
+            solved = SolverEngine(n).min_covering(upper_bound=formula + 1).num_blocks
             assert formula == constructed == solved
 
     def test_odd_even_interplay(self):
