@@ -2,7 +2,7 @@
 
 The engine's two exact searches (:meth:`SolverEngine.min_covering` over
 ``K_n`` and :meth:`SolverEngine.min_covering_instance` over arbitrary
-demand) run as explicit-stack loops whose entire mutable state — the
+demand) run on one explicit-stack loop whose entire mutable state — the
 incumbent, the accumulated objective cost per frame, each frame's
 candidate cursor, the transposition memo, and the unexplored root-orbit
 frontier (the root frame's remaining candidates) — fits in one

@@ -151,8 +151,9 @@ DEFAULT_NODE_LIMIT = 20_000_000
 BRANCHING_ORDERS = ("lex", "scarcest")
 
 # Wall-clock deadlines (``time.time()``-based so they survive pickling
-# into sharded workers) are polled every DEADLINE_POLL_MASK+1 nodes —
-# cheap enough to leave on, frequent enough for sub-second budgets.
+# into sharded workers) and preempt callbacks are polled each time the
+# node count crosses a multiple of DEADLINE_POLL_MASK+1 — cheap enough
+# to leave on, frequent enough for sub-second budgets.
 DEADLINE_POLL_MASK = 0xFF
 
 
