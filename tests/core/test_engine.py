@@ -53,8 +53,15 @@ ENGINE_NODE_CEILINGS = {
 }
 
 
+def _python_ids(n):
+    """Test ids of the node-count tests.  They were pinned per search
+    kernel; the pure-Python loop is the one search left and keeps the
+    ``python-<n>`` ids."""
+    return f"python-{n}"
+
+
 class TestPruningRegression:
-    @pytest.mark.parametrize("n", sorted(SEED_NODES))
+    @pytest.mark.parametrize("n", sorted(SEED_NODES), ids=_python_ids)
     def test_fewer_nodes_same_optimum(self, n):
         stats = SolverStats()
         cov = SolverEngine(n).min_covering(stats=stats)
@@ -74,7 +81,7 @@ class TestPruningRegression:
         SolverEngine(9).min_covering(stats=stats)
         assert stats.nodes * 10 < SEED_NODES[9]
 
-    @pytest.mark.parametrize("n", sorted(ENGINE_NODE_CEILINGS))
+    @pytest.mark.parametrize("n", sorted(ENGINE_NODE_CEILINGS), ids=_python_ids)
     def test_pinned_node_ceilings(self, n):
         stats = SolverStats()
         cov = SolverEngine(n).min_covering(stats=stats)
