@@ -1,13 +1,5 @@
 """Ablation studies on the design choices DESIGN.md calls out.
 
-A1 — branching strategy in the even-case completion: dynamic MRV
-     (recompute the scarcest edge per node) vs the cheaper static
-     scarcity order.  MRV costs more per node but keeps backtracking
-     near zero; static can thrash by orders of magnitude.
-A2 — candidate pool: tight blocks only (distance-budget = n) vs all
-     convex blocks.  Tightness is not required for *validity*, but the
-     optimal odd decompositions are forced tight, so restricting the
-     pool shrinks the search space without losing solutions.
 A3 — the pole quad's interior vertex w ∈ {2q+1, 2q+2}: both complete;
      recorded so regressions in either variant are caught.
 A4 — the ρ(n) covering search: chord branching order (lexicographic vs
@@ -23,12 +15,7 @@ from __future__ import annotations
 import time
 
 from repro.core.pole import pole_forced_blocks
-from repro.core.engine import (
-    SolverStats,
-    enumerate_convex_blocks,
-    enumerate_tight_blocks,
-    exact_decomposition,
-)
+from repro.core.engine import exact_decomposition
 from repro.util import circular
 from repro.util.errors import SolverError
 from repro.util.tables import Table
@@ -44,106 +31,6 @@ def _completion_edges(n_prime: int, w: int) -> frozenset:
     )
 
 
-def _solve(
-    n_prime: int, *, strategy: str, pool: str, node_limit: int
-) -> tuple[float, bool, int]:
-    w = (n_prime - 3) // 2 + 2  # 2q + 2
-    edges = _completion_edges(n_prime, w)
-    cands = (
-        enumerate_tight_blocks(n_prime)
-        if pool == "tight"
-        else enumerate_convex_blocks(n_prime)
-    )
-    stats = SolverStats()
-    t0 = time.perf_counter()
-    try:
-        result = exact_decomposition(
-            n_prime, edges, max_triangles=1, candidates=cands,
-            node_limit=node_limit, strategy=strategy, stats=stats,
-        )
-        ok = result is not None
-    except SolverError:
-        ok = False  # node budget exhausted — that IS the measurement
-    return time.perf_counter() - t0, ok, stats.nodes
-
-
-def test_bench_ablation_branching(benchmark, save_table, save_json):
-    """A1: branching strategy on the tight pool, pushed to sizes where
-    static ordering starts to thrash (budget-capped so a thrash shows up
-    as 'no' rather than a minutes-long stall)."""
-
-    def run():
-        rows = []
-        for n_prime in (11, 15, 19, 23, 27, 31, 35, 39):
-            for strategy in ("mrv", "static"):
-                elapsed, ok, nodes = _solve(
-                    n_prime, strategy=strategy, pool="tight", node_limit=100_000
-                )
-                rows.append(
-                    {"np": n_prime, "strategy": strategy,
-                     "seconds": elapsed, "solved": ok, "nodes": nodes}
-                )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
-    table = Table(
-        "A1 — branching strategy ablation (tight pool, 100k-node budget)",
-        ["n'", "strategy", "seconds", "nodes", "solved"],
-    )
-    for row in rows:
-        table.add_row(
-            row["np"], row["strategy"], round(row["seconds"], 3),
-            row["nodes"], row["solved"],
-        )
-    text = table.render()
-    save_table("A1_ablation_branching", text)
-    save_json("A1_ablation_branching", {"experiment": "A1", "rows": rows})
-    print("\n" + text)
-
-    # The shipped configuration (MRV) must solve every size in budget.
-    for row in rows:
-        if row["strategy"] == "mrv":
-            assert row["solved"], f"default config failed at n={row['np']}"
-
-
-def test_bench_ablation_pool(benchmark, save_table, save_json):
-    """A2: candidate pool (tight vs all-convex), small sizes only — the
-    convex pool already exhausts the budget at n' = 15, which is the
-    measurement: tightness pruning is what makes completions tractable."""
-
-    def run():
-        rows = []
-        for n_prime in (11, 15):
-            for pool in ("tight", "convex"):
-                elapsed, ok, nodes = _solve(
-                    n_prime, strategy="mrv", pool=pool, node_limit=100_000
-                )
-                rows.append(
-                    {"np": n_prime, "pool": pool, "seconds": elapsed,
-                     "solved": ok, "nodes": nodes}
-                )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
-    table = Table(
-        "A2 — candidate pool ablation (MRV, 100k-node budget)",
-        ["n'", "pool", "seconds", "nodes", "solved"],
-    )
-    for row in rows:
-        table.add_row(
-            row["np"], row["pool"], round(row["seconds"], 3),
-            row["nodes"], row["solved"],
-        )
-    text = table.render()
-    save_table("A2_ablation_pool", text)
-    save_json("A2_ablation_pool", {"experiment": "A2", "rows": rows})
-    print("\n" + text)
-
-    for row in rows:
-        if row["pool"] == "tight":
-            assert row["solved"]
-
-
 def test_bench_ablation_pole_w(benchmark, save_table, save_json):
     """A3: both pole-quad variants complete (w = 2q+1 and 2q+2)."""
 
@@ -154,10 +41,7 @@ def test_bench_ablation_pole_w(benchmark, save_table, save_json):
             for w in (2 * q + 1, 2 * q + 2):
                 edges = _completion_edges(n_prime, w)
                 t0 = time.perf_counter()
-                result = exact_decomposition(
-                    n_prime, edges, max_triangles=1,
-                    candidates=enumerate_tight_blocks(n_prime),
-                )
+                result = exact_decomposition(n_prime, edges, max_triangles=1)
                 rows.append(
                     {"np": n_prime, "w": w, "seconds": time.perf_counter() - t0,
                      "solved": result is not None}

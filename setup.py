@@ -22,7 +22,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     package_data={"repro": ["py.typed"]},
-    install_requires=["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"],
+    install_requires=["numpy>=1.24", "networkx>=3.0"],
     extras_require={
         "dev": ["pytest>=7.0", "pytest-benchmark>=4.0", "hypothesis>=6.0"],
         # Optional accelerator, probed at runtime: the SAT backend's

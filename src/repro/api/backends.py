@@ -7,7 +7,9 @@ A :class:`Backend` turns a :class:`~repro.api.spec.CoverSpec` into a
     The paper's Theorem 1/2 constructions (and, for odd ``n``, their
     λ-fold repetition).  Applies only where a formula certificate proves
     optimality — the lower-bound certificate is recomputed and attached,
-    never trusted.  O(n²); no search.
+    never trusted.  Odd ``n`` is O(n²) with no search; even ``n`` runs
+    a near backtrack-free exact cover (Theorem 2's pole completion)
+    over the Θ(n⁴) tight block pool.
 ``exact``
     The branch-and-bound certifier: :meth:`SolverEngine.min_covering`
     for uniform ``K_n`` demand, :meth:`SolverEngine.min_covering_instance`
@@ -235,7 +237,8 @@ class ClosedFormBackend:
         checkpoint_every: int | None = None,
         preempt=None,
     ) -> Result:
-        # No search state to checkpoint: the construction is O(n²).
+        # No search state to checkpoint: even n's pole completion (see
+        # the module docstring) runs to the end in one go.
         if not self.supports(spec):
             raise SpecError("closed_form backend does not support this spec")
         obj = _objective_of(spec)
@@ -288,6 +291,13 @@ class ExactBackend:
         checkpoint_every: int | None = None,
         preempt=None,
     ) -> Result:
+        kn_search = spec.is_all_to_all and spec.lam == 1
+        if not kn_search and (spec.branching != "lex" or not spec.use_memo):
+            # Refuse rather than record (and cache) a regime that never runs.
+            raise SpecError(
+                "branching and use_memo apply only to the K_n search "
+                "(All-to-All, lam = 1), not to the instance search"
+            )
         engine = SolverEngine(spec.n, max_size=spec.max_size)
         obj = _objective_of(spec)
         stats = SolverStats()
@@ -299,7 +309,7 @@ class ExactBackend:
         if store is not None:
             on_checkpoint = lambda ckpt: store.save(spec.spec_hash, ckpt)  # noqa: E731
         try:
-            if spec.is_all_to_all and spec.lam == 1:
+            if kn_search:
                 covering = engine.min_covering(
                     upper_bound=warm_start_bound(spec),
                     node_limit=node_limit,

@@ -8,8 +8,9 @@ in order:
    the backend's own :meth:`supports` check);
 2. ``require_optimal=False`` routes to the heuristic tier — the caller
    asked for *a* covering, not a certificate;
-3. a formula certificate (Theorem 1/2, λ-repetition for odd n) makes
-   the job free: ``closed_form``;
+3. a formula certificate (Theorem 1/2, λ-repetition for odd n) sends
+   the job to ``closed_form``: no search for odd n, and for even n a
+   near backtrack-free exact cover over the Θ(n⁴) tight block pool;
 4. otherwise an exact tier must prove optimality: ``exact_sharded``
    when the spec's shard policy says the ring is big enough to scale
    out (uniform ``K_n`` only — that is where the shard seam lives),

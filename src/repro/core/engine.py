@@ -2,12 +2,12 @@
 
 Engine architecture
 -------------------
-Every exact solver in the repo — tight exact decomposition (the pole
-completion step), minimum covering of ``K_n`` (the ρ(n) certifier), and
-minimum covering of an arbitrary instance (the λK_n certifier) — used
-to carry its own copy of the same scaffolding: a sorted chord list, a
-chord → bit index map, per-chord candidate-block lists, and a counting
-lower bound.  :class:`SolverEngine` owns that scaffolding once:
+Both covering solvers in the repo — minimum covering of ``K_n`` (the
+ρ(n) certifier) and minimum covering of an arbitrary instance (the λK_n
+certifier) — used to carry their own copy of the same scaffolding: a
+sorted chord list, a chord → bit index map, per-chord candidate-block
+lists, and a counting lower bound.  :class:`SolverEngine` owns that
+scaffolding once:
 
 * **Edge space** (:func:`edge_space`): the sorted chords of ``K_n``,
   their bit indices, ring distances, and the full-coverage bitmask.
@@ -64,7 +64,7 @@ lower bound.  :class:`SolverEngine` owns that scaffolding once:
   maps, block-for-block, to one at most as large using the dominator —
   and is dropped (:func:`dominated_candidates`).  Unsound for exact
   decomposition (a strict superset changes the partition), so
-  :meth:`SolverEngine.decompose` never applies it.
+  :func:`exact_decomposition` never applies it.
 * **Transposition memo** — the subproblem below a node depends only on
   its uncovered-chord set, so the search memoizes ``uncovered → fewest
   blocks used`` and prunes any revisit that does not arrive strictly
@@ -113,6 +113,11 @@ lower bound.  :class:`SolverEngine` owns that scaffolding once:
   mass, bound and cost from per-block lookup tables), so runs of
   bound-pruned children are counted in one step.  Dihedral canonical
   masks come from 8-bit-chunk permutation tables.
+
+* **Exact decomposition** — :func:`exact_decomposition` (Theorem 2's
+  pole completion) is an exact cover, not a covering search, and
+  shares none of the above: Algorithm X with live candidate counts
+  over the tight pool.
 """
 
 from __future__ import annotations
@@ -219,11 +224,14 @@ def _gap_compositions(total: int, parts: int, max_part: int) -> list[tuple[int, 
 @lru_cache(maxsize=64)
 def enumerate_tight_blocks(n: int, max_size: int = 4) -> tuple[CycleBlock, ...]:
     """All *tight* convex blocks of size 3..max_size on ``C_n`` (gaps
-    ≤ ⌊n/2⌋ summing to n), deduplicated by canonical rotation."""
+    ≤ ⌊n/2⌋ summing to n), each listed once, at its first (gaps, start)
+    listing.  Every listing runs clockwise, so two listings are the same
+    cycle exactly when they share a vertex set: duplicates are dropped
+    on that set before any block is built."""
     if n < 3:
         raise SolverError(f"n ≥ 3 required, got {n}")
     half = n // 2
-    seen: set[tuple[int, ...]] = set()
+    seen: set[frozenset[int]] = set()
     blocks: list[CycleBlock] = []
     for size in range(3, max_size + 1):
         for gaps in _gap_compositions(n, size, half):
@@ -231,10 +239,10 @@ def enumerate_tight_blocks(n: int, max_size: int = 4) -> tuple[CycleBlock, ...]:
                 vs = [start]
                 for g in gaps[:-1]:
                     vs.append((vs[-1] + g) % n)
-                blk = CycleBlock(tuple(vs))
-                if blk.canonical not in seen:
-                    seen.add(blk.canonical)
-                    blocks.append(blk)
+                key = frozenset(vs)
+                if key not in seen:
+                    seen.add(key)
+                    blocks.append(CycleBlock(tuple(vs)))
     return tuple(blocks)
 
 
@@ -562,7 +570,7 @@ def dominated_candidates(
     the ring-size-sum objective (3 slots beat 4 — the cost-blind filter
     provably loses optima there).  Candidates with no demanded coverage
     at all are dominated trivially.  Only sound for *covering*
-    problems — see :meth:`SolverEngine.decompose`.
+    problems — see :func:`exact_decomposition`.
     """
     if restrict_mask is None:
         restricted = list(masks)
@@ -1115,152 +1123,6 @@ class SolverEngine:
         st.best_value = best_count
         st.proven_optimal = True
         return Covering(n, tuple(best_blocks))
-
-    # -- exact decomposition ---------------------------------------------
-
-    def decompose(
-        self,
-        edges: frozenset[tuple[int, int]],
-        *,
-        max_triangles: int | None = None,
-        candidates: tuple[CycleBlock, ...] | None = None,
-        node_limit: int = 5_000_000,
-        strategy: str = "mrv",
-        stats: SolverStats | None = None,
-    ) -> list[CycleBlock] | None:
-        """Partition ``edges`` into tight convex blocks, each edge exactly
-        once; returns ``None`` when no partition exists.
-
-        ``max_triangles`` bounds the number of C3 blocks (the pole
-        completion needs exactly one — enforced by edge counts, bounding
-        merely prunes).  Deterministic DFS over bitmasks; explored node
-        counts are reported through ``stats`` (same contract as
-        :meth:`min_covering`).  Dominance filtering is deliberately
-        *not* applied here: replacing a block by a strict superset
-        changes the partition, so dominated candidates can still be the
-        only way to complete a decomposition.
-
-        ``strategy`` selects the branching variable: ``"mrv"`` (default)
-        recomputes the fewest-live-candidates edge at every node —
-        near-backtrack-free on the pole completions; ``"static"`` uses a
-        one-shot scarcity order — cheaper per node but can thrash (kept
-        for the ablation benchmark, which quantifies the difference).
-        """
-        n = self.n
-        if strategy not in ("mrv", "static"):
-            raise SolverError(f"unknown branching strategy {strategy!r}")
-        edge_list = sorted(edges)
-        index = {e: i for i, e in enumerate(edge_list)}
-        full_mask = (1 << len(edge_list)) - 1
-        st = stats if stats is not None else SolverStats()
-        if full_mask == 0:
-            st.best_value = 0
-            st.proven_optimal = True
-            return []
-
-        pool = candidates if candidates is not None else enumerate_tight_blocks(n)
-        usable: list[tuple[int, CycleBlock]] = []
-        for blk in pool:
-            bes = blk.edges()
-            if all(e in index for e in bes):
-                mask = 0
-                for e in bes:
-                    mask |= 1 << index[e]
-                usable.append((mask, blk))
-
-        per_edge: list[list[tuple[int, CycleBlock]]] = [[] for _ in edge_list]
-        for mask, blk in usable:
-            m = mask
-            while m:
-                low = (m & -m).bit_length() - 1
-                per_edge[low].append((mask, blk))
-                m &= m - 1
-        if any(not cands for cands in per_edge):
-            # Some edge has no candidate block at all: non-existence is
-            # certified without search, same stats contract as below.
-            st.proven_optimal = True
-            return None
-
-        static_rank: list[int] | None = None
-        if strategy == "static":
-            order = sorted(range(len(edge_list)), key=lambda i: len(per_edge[i]))
-            static_rank = [0] * len(edge_list)
-            for pos, i in enumerate(order):
-                static_rank[i] = pos
-
-        def static_choice(covered: int) -> tuple[int, list[tuple[int, CycleBlock]]]:
-            assert static_rank is not None
-            best = -1
-            best_rank = len(edge_list) + 1
-            m = (~covered) & full_mask
-            while m:
-                low = (m & -m).bit_length() - 1
-                m &= m - 1
-                if static_rank[low] < best_rank:
-                    best_rank = static_rank[low]
-                    best = low
-            cands = [c for c in per_edge[best] if not c[0] & covered]
-            return best, cands
-
-        def most_constrained(covered: int) -> tuple[int, list[tuple[int, CycleBlock]]]:
-            """Dynamic MRV: the uncovered edge with fewest live candidates.
-
-            Scanning candidate lists per node costs more than a static
-            order but keeps backtracking near zero on these structured
-            instances (the paper-scale bottleneck is a thrashing search,
-            not the scan).
-            """
-            best_edge = -1
-            best_cands: list[tuple[int, CycleBlock]] = []
-            best_count = 1 << 30
-            m = (~covered) & full_mask
-            while m:
-                low = (m & -m).bit_length() - 1
-                m &= m - 1
-                count = 0
-                cands: list[tuple[int, CycleBlock]] = []
-                for cand in per_edge[low]:
-                    if not cand[0] & covered:
-                        count += 1
-                        cands.append(cand)
-                        if count >= best_count:
-                            break
-                if count < best_count:
-                    best_count = count
-                    best_edge = low
-                    best_cands = cands
-                    if count <= 1:
-                        break
-            return best_edge, best_cands
-
-        def dfs(covered: int, triangles_used: int, chosen: list[CycleBlock]) -> bool:
-            st.nodes += 1
-            if st.nodes > node_limit:
-                raise SolverError(
-                    f"exact_decomposition exceeded node limit {node_limit} for n={n}"
-                )
-            if covered == full_mask:
-                return True
-            chooser = static_choice if strategy == "static" else most_constrained
-            _, cands = chooser(covered)
-            for mask, blk in cands:
-                tri = 1 if blk.size == 3 else 0
-                if max_triangles is not None and triangles_used + tri > max_triangles:
-                    continue
-                chosen.append(blk)
-                if dfs(covered | mask, triangles_used + tri, chosen):
-                    return True
-                chosen.pop()
-            return False
-
-        chosen: list[CycleBlock] = []
-        if dfs(0, 0, chosen):
-            st.best_value = len(chosen)
-            st.proven_optimal = True
-            return chosen
-        st.proven_optimal = True  # exhaustive: non-existence is certified
-        return None
-
 
 
 # ---------------------------------------------------------------------------
@@ -1844,7 +1706,7 @@ class _InstanceModel(_ResidualModel):
 
 
 # ---------------------------------------------------------------------------
-# Front doors
+# Exact decomposition (the pole completion of Theorem 2)
 # ---------------------------------------------------------------------------
 
 
@@ -1853,20 +1715,100 @@ def exact_decomposition(
     edges: frozenset[tuple[int, int]],
     *,
     max_triangles: int | None = None,
-    candidates: tuple[CycleBlock, ...] | None = None,
     node_limit: int = 5_000_000,
-    strategy: str = "mrv",
     stats: SolverStats | None = None,
 ) -> list[CycleBlock] | None:
-    """See :meth:`SolverEngine.decompose`."""
-    return SolverEngine(n).decompose(
-        edges,
-        max_triangles=max_triangles,
-        candidates=candidates,
-        node_limit=node_limit,
-        strategy=strategy,
-        stats=stats,
-    )
+    """Partition ``edges`` into tight convex blocks, each edge exactly
+    once; returns ``None`` when no partition exists.
+
+    Algorithm X over :func:`enumerate_tight_blocks` (in pool order,
+    blocks with every edge in ``edges``): a block is *live* while it
+    shares no edge with a chosen one.  Each node branches on the first
+    uncovered chord (sorted order) with the fewest live blocks and
+    tries them in pool order; triangles beyond ``max_triangles`` are
+    skipped but stay live.  No dominance filtering: a strict superset
+    would change the partition.  Past ``node_limit`` nodes it raises
+    :class:`SolverError`; ``stats`` follows
+    :meth:`SolverEngine.min_covering`'s contract.
+    """
+    if n < 3:
+        raise SolverError(f"n ≥ 3 required, got {n}")
+    st = stats if stats is not None else SolverStats()
+    index = {e: i for i, e in enumerate(sorted(edges))}
+    if not index:
+        st.best_value = 0
+        st.proven_optimal = True
+        return []
+    pool: list[CycleBlock] = []
+    block_edges: list[list[int]] = []
+    per_edge: list[list[int]] = [[] for _ in index]
+    for blk in enumerate_tight_blocks(n):
+        ids = [index.get(e) for e in blk.edges()]
+        if None not in ids:
+            for i in ids:
+                per_edge[i].append(len(pool))
+            pool.append(blk)
+            block_edges.append(ids)
+    live = [len(cands) for cands in per_edge]
+    if 0 in live:
+        # An edge without any candidate block: non-existence is
+        # certified without search.
+        st.proven_optimal = True
+        return None
+    alive = [True] * len(pool)
+    covered = [False] * len(index)
+    chosen: list[CycleBlock] = []
+
+    def search(triangles: int) -> bool:
+        st.nodes += 1
+        if st.nodes > node_limit:
+            raise SolverError(
+                f"exact_decomposition exceeded node limit {node_limit} for n={n}"
+            )
+        branch, fewest = -1, len(pool) + 1
+        for e, count in enumerate(live):
+            if count < fewest and not covered[e]:
+                if count == 0:
+                    return False
+                branch, fewest = e, count
+        if branch < 0:
+            return True
+        for b in per_edge[branch]:
+            tri = triangles + (pool[b].size == 3)
+            if not alive[b] or (max_triangles is not None and tri > max_triangles):
+                continue
+            killed = []
+            for e in block_edges[b]:
+                covered[e] = True
+                for c in per_edge[e]:
+                    if alive[c]:
+                        alive[c] = False
+                        killed.append(c)
+                        for f in block_edges[c]:
+                            live[f] -= 1
+            chosen.append(pool[b])
+            if search(tri):
+                return True
+            chosen.pop()
+            for c in killed:
+                alive[c] = True
+                for f in block_edges[c]:
+                    live[f] += 1
+            for e in block_edges[b]:
+                covered[e] = False
+        return False
+
+    found = search(0)
+    st.proven_optimal = True  # success, or exhaustion certifies non-existence
+    if found:
+        st.best_value = len(chosen)
+        return chosen
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Sharded certification worker
+# ---------------------------------------------------------------------------
 
 
 def _sharded_root_worker(

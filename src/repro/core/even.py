@@ -8,9 +8,9 @@ Two complementary mechanisms (derived here; the note omits proofs):
   a single chord (from a triangle) or a 2-edge path (from the quad).
   The fragments were engineered nested, so chord pairs merge into
   convex quads (two closing chords each = excess 2) and the path closes
-  into a triangle (excess 1).  Counting: ``ρ(n+1) − p + (q+1)
-  = ⌈(p²+1)/2⌉`` blocks with mix 2×C3 + (2q²+2q−1)×C4 and total excess
-  ``p`` — exactly Theorem 2's statement for ``n = 4q+2``.
+  into a triangle (excess 1), both in closed form.  Counting: ``ρ(n+1)
+  − p + (q+1) = ⌈(p²+1)/2⌉`` blocks with mix 2×C3 + (2q²+2q−1)×C4 and
+  total excess ``p`` — exactly Theorem 2's statement for ``n = 4q+2``.
 
 * ``n ≡ 0 (mod 4)`` — **clean insertion**.  From the optimal covering
   of ``n−2 ≡ 2 (mod 4)``, insert two antipodal nodes ``x, y``; cover all
@@ -27,15 +27,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..util import circular
 from ..util.errors import ConstructionError
 from ..util.validation import as_int, check_even
 from .blocks import CycleBlock, convex_block
 from .covering import Covering
 from .formulas import rho
-from .pole import POLE, pole_decomposition
+from .pole import pole_decomposition
 
-__all__ = ["even_covering", "merge_fragments", "pole_fragments"]
+__all__ = ["even_covering"]
 
 
 def even_covering(n: int) -> Covering:
@@ -62,115 +61,26 @@ def even_covering(n: int) -> Covering:
 # ---------------------------------------------------------------------------
 
 
-def pole_fragments(
-    covering: Covering, pole: int
-) -> tuple[list[CycleBlock], list[tuple[int, int]], list[tuple[int, ...]]]:
-    """Split ``covering`` by deleting vertex ``pole``.
-
-    Returns ``(survivors, single_chords, paths)`` where ``survivors``
-    are blocks avoiding the pole, ``single_chords`` are the leftover
-    request of each pole triangle, and ``paths`` are the leftover vertex
-    paths (in order) of larger pole blocks.
-    """
-    survivors: list[CycleBlock] = []
-    singles: list[tuple[int, int]] = []
-    paths: list[tuple[int, ...]] = []
-    for blk in covering.blocks:
-        if pole not in blk.vertices:
-            survivors.append(blk)
-            continue
-        vs = list(blk.vertices)
-        i = vs.index(pole)
-        # Rotate so the pole is first; the remaining vertices, in block
-        # order, form the fragment path (its edges are the block's edges
-        # not incident to the pole).
-        path = tuple(vs[i + 1 :] + vs[:i])
-        if len(path) == 2:
-            singles.append(circular.chord(path[0], path[1]))
-        else:
-            paths.append(path)
-    return survivors, singles, paths
-
-
-def merge_fragments(n: int, e: tuple[int, int], f: tuple[int, int]) -> CycleBlock | None:
-    """Merge two leftover chords into a single convex block covering
-    both, or ``None`` when impossible (crossing chords never share a
-    convex cycle)."""
-    vertices = set(e) | set(f)
-    if len(vertices) < 3:
-        return None
-    blk = convex_block(tuple(vertices))
-    edges = blk.edges()
-    if tuple(sorted(e)) in edges and tuple(sorted(f)) in edges:
-        return blk
-    return None
-
-
-def _match_singles(n: int, singles: list[tuple[int, int]]) -> list[CycleBlock] | None:
-    """Pair leftover chords into convex merge blocks (perfect matching
-    by backtracking — the pole construction guarantees a nested perfect
-    matching exists, but the search keeps this robust to variants)."""
-    if len(singles) % 2 != 0:
-        return None
-
-    merged: list[CycleBlock] = []
-    remaining = sorted(singles)
-
-    def backtrack(pool: list[tuple[int, int]]) -> bool:
-        if not pool:
-            return True
-        first = pool[0]
-        for j in range(1, len(pool)):
-            blk = merge_fragments(n, first, pool[j])
-            if blk is None:
-                continue
-            merged.append(blk)
-            if backtrack(pool[1:j] + pool[j + 1 :]):
-                return True
-            merged.pop()
-        return False
-
-    if not backtrack(remaining):
-        return None
-    return merged
-
-
 @lru_cache(maxsize=128)
 def _pole_deletion(n: int) -> Covering:
     """Theorem 2 covering for ``n = 4q+2`` via pole deletion."""
-    pole_cov = pole_decomposition(n + 1)
-    survivors, singles, paths = pole_fragments(pole_cov, POLE)
-
-    merged = _match_singles(n + 1, singles)
-    if merged is None:
-        raise ConstructionError(
-            f"pole fragments for n={n} admit no non-crossing perfect matching"
-        )
-    closures = [convex_block(path) for path in paths]
-    for path, blk in zip(paths, closures):
-        # Closing a fragment path must keep all its edges: true whenever
-        # the path is monotone on the ring, which pole quads guarantee.
-        path_edges = {
-            circular.chord(path[i], path[i + 1]) for i in range(len(path) - 1)
-        }
-        if not path_edges.issubset(set(blk.edges())):
-            raise ConstructionError(
-                f"fragment path {path} does not close into a convex block"
-            )
-
-    blocks = survivors + merged + closures
+    q = (n - 2) // 4
+    # pole_decomposition lists the 2q pole triangles, the pole quad
+    # (0, 1, w, n'-1), then the completion, which avoids the pole.  Each
+    # nested pair of pole-triangle chords {2k+1, 2k+2q} ⊂ {2k, 2k+2q+1}
+    # merges into one convex quad, and the pole quad's path 1 – w – (n'-1)
+    # closes into a triangle.
+    pole_blocks = pole_decomposition(n + 1).blocks
+    blocks = list(pole_blocks[2 * q + 1 :])
+    for k in range(1, q + 1):
+        a, b = 2 * k, 2 * k + 2 * q
+        blocks.append(convex_block((a, a + 1, b, b + 1)))
+    blocks.append(convex_block(pole_blocks[2 * q].vertices[1:]))
     # Delete the pole label (0) and shift everything down by one; the
     # relabelling preserves circular order, hence convexity.
-    relabelled = tuple(
-        CycleBlock(tuple(v - 1 for v in blk.vertices)) for blk in blocks
+    return Covering(
+        n, tuple(CycleBlock(tuple(v - 1 for v in blk.vertices)) for blk in blocks)
     )
-    covering = Covering(n, relabelled)
-    if covering.num_blocks != rho(n):
-        raise ConstructionError(
-            f"pole deletion produced {covering.num_blocks} blocks for n={n}, "
-            f"expected ρ = {rho(n)}"
-        )
-    return covering
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,12 @@ pole leaves mergeable fragments:
 
 These forced blocks cover the pole's star plus ``2q+2`` other chords;
 the *completion* — partitioning the remaining chords into one tight
-triangle and ``2q²+q−1`` tight quads — is found by the exact-cover
-engine and cached per ``n'``.  The full pole decomposition is an
-optimal ``K_{n'}`` decomposition (same count/mix as the ladder's), just
-with a differently-structured neighbourhood of vertex 0.
+triangle and ``2q²+q−1`` tight quads — is found by
+:func:`~repro.core.engine.exact_decomposition`, trying ``w = 2q+2``
+first, and cached per ``n'``.  The decomposition lists the forced
+blocks first, then the completion; it is an optimal ``K_{n'}``
+decomposition (same count/mix as the ladder's), just with a
+differently-structured neighbourhood of vertex 0.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ..util import circular
-from ..util.errors import ConstructionError
+from ..util.errors import ConstructionError, SolverError
 from ..util.validation import as_int
 from .blocks import CycleBlock
 from .covering import Covering
 from .formulas import rho
-from .engine import enumerate_tight_blocks, exact_decomposition
+from .engine import exact_decomposition
 
 __all__ = ["pole_decomposition", "pole_forced_blocks", "POLE"]
 
@@ -69,32 +71,15 @@ def pole_decomposition(n_prime: int) -> Covering:
     last_error: Exception | None = None
     for w in (2 * q + 2, 2 * q + 1):
         forced = pole_forced_blocks(n_prime, w)
-        covered: set[tuple[int, int]] = set()
-        ok = True
-        for blk in forced:
-            for e in blk.edges():
-                if e in covered:
-                    ok = False  # forced blocks collide for this w
-                    break
-                covered.add(e)
-            if not ok:
-                break
-        if not ok:
-            continue
-
+        covered = {e for blk in forced for e in blk.edges()}
         remaining = frozenset(
             e
             for e in circular.all_chords(n_prime)
             if 0 not in e and e not in covered
         )
         try:
-            completion = exact_decomposition(
-                n_prime,
-                remaining,
-                max_triangles=1,
-                candidates=enumerate_tight_blocks(n_prime),
-            )
-        except Exception as exc:  # node-limit blowups fall through to next w
+            completion = exact_decomposition(n_prime, remaining, max_triangles=1)
+        except SolverError as exc:  # node-limit overruns fall through to next w
             last_error = exc
             completion = None
         if completion is None:

@@ -57,6 +57,32 @@ class TestTiers:
             result = solve(spec)
             assert result.covering.covers(spec.instance())
 
+    @pytest.mark.parametrize(
+        "regime",
+        ({"branching": "scarcest"}, {"use_memo": False}),
+        ids=("scarcest", "nomemo"),
+    )
+    @pytest.mark.parametrize(
+        "shape",
+        ({"lam": 2}, {"demand": ((0, 2, 2), (1, 4, 1))}),
+        ids=("lambda", "demand"),
+    )
+    def test_instance_search_rejects_kn_regime(self, shape, regime):
+        # The instance search has no branching order or memo switch: a
+        # spec naming one would record (and cache) a regime that never ran.
+        if "demand" in shape:
+            spec = CoverSpec(n=6, backend="exact", **shape, **regime)
+        else:
+            spec = CoverSpec.for_ring(6, backend="exact", **shape, **regime)
+        with pytest.raises(SpecError, match="instance search"):
+            solve(spec)
+
+    def test_kn_search_honours_regime(self):
+        result = solve(
+            CoverSpec.for_ring(6, backend="exact", use_hints=False, use_memo=False)
+        )
+        assert result.num_blocks == rho(6)
+
     def test_exact_matches_closed_form_value(self):
         for n in (6, 7, 8):
             exact = solve(CoverSpec.for_ring(n, backend="exact", use_hints=False))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.construction import fast_covering, optimal_covering, optimality_gap
-from repro.core.even import even_covering, merge_fragments, pole_fragments
+from repro.core.even import even_covering
 from repro.core.formulas import optimal_excess, rho, theorem_cycle_mix
 from repro.core.ladder import ladder_decomposition, ladder_step_blocks
 from repro.core.pole import POLE, pole_decomposition, pole_forced_blocks
@@ -119,22 +119,6 @@ class TestEven:
     def test_rejects_odd(self):
         with pytest.raises(ValueError):
             even_covering(9)
-
-    def test_fragments_split(self):
-        cov = pole_decomposition(11)
-        survivors, singles, paths = pole_fragments(cov, POLE)
-        assert len(survivors) + len(singles) + len(paths) == cov.num_blocks
-        assert len(singles) == 4  # 2q triangles at the pole, q = 2
-        assert len(paths) == 1
-        assert all(len(p) == 3 for p in paths)
-
-    def test_merge_fragments_nested(self):
-        blk = merge_fragments(11, (3, 6), (2, 7))
-        assert blk is not None
-        assert set(blk.vertices) == {2, 3, 6, 7}
-
-    def test_merge_fragments_crossing_impossible(self):
-        assert merge_fragments(8, (0, 4), (2, 6)) is None
 
 
 class TestDispatch:
