@@ -184,7 +184,9 @@ def _add_dispatch_arguments(parser: argparse.ArgumentParser) -> None:
              "--workers then sizes the dispatch pool",
     )
     parser.add_argument("--job-timeout", type=float, metavar="SECONDS",
-                        help="per-job deadline (dead jobs retry on another worker)")
+                        help="subprocess transport: per-job deadline (dead "
+                             "jobs retry on another worker); the spool "
+                             "transport reclaims on leases instead")
     parser.add_argument("--max-retries", type=int, default=2,
                         help="worker deaths tolerated per job (default 2)")
     parser.add_argument("--spool", metavar="DIR",
@@ -258,6 +260,7 @@ def _solve_resumable(spec, cache, ckpt_store, budget, args: argparse.Namespace):
     callback whose node counts continue from the resumed checkpoint —
     so repeated --resume runs each advance the proof by the full budget."""
     from .api import solve
+    from .api.checkpoints import budget_preempt
 
     prior = None
     if ckpt_store is not None:
@@ -265,21 +268,12 @@ def _solve_resumable(spec, cache, ckpt_store, budget, args: argparse.Namespace):
             prior = ckpt_store.load(spec.spec_hash)
         else:
             ckpt_store.delete(spec.spec_hash)
-    preempt = None
-    if budget is not None:
-        unit, amount = budget
-        if unit == "nodes":
-            ceiling = (prior.nodes if prior is not None else 0) + int(amount)
-            preempt = lambda st: st.nodes >= ceiling  # noqa: E731
-        else:
-            deadline = time.monotonic() + amount
-            preempt = lambda st: time.monotonic() >= deadline  # noqa: E731
     return solve(
         spec,
         cache=cache,
         checkpoints=ckpt_store,
         checkpoint_every=getattr(args, "checkpoint_every", None),
-        preempt=preempt,
+        preempt=budget_preempt(budget, prior),
     )
 
 
@@ -348,7 +342,7 @@ def _run_jobs(ns: list[int], args: argparse.Namespace, *, single: bool = False) 
             ckpt_store = CheckpointStore(args.checkpoint_dir)
         budget = None
         if getattr(args, "preempt_after", None):
-            from .dispatch.worker import parse_preempt_after
+            from .api.checkpoints import parse_preempt_after
 
             try:
                 budget = parse_preempt_after(args.preempt_after)
@@ -682,7 +676,7 @@ def _cmd_serve(argv: list[str]) -> int:
     ledger_dir = args.ledger or (default_cache_dir() / "serve")
     preempt_after = None
     if args.preempt_after:
-        from .dispatch.worker import parse_preempt_after
+        from .api.checkpoints import parse_preempt_after
 
         try:
             preempt_after = parse_preempt_after(args.preempt_after)

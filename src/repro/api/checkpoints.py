@@ -22,18 +22,24 @@ Contract (mirrors the result cache):
 :class:`MemoryCheckpointStore` is the same interface over a dict — the
 stdio worker protocol uses it to resume from a checkpoint that arrived
 over the wire rather than from disk.
+
+:func:`budget_preempt` is the one ``--preempt-after`` rule shared by
+the CLI, spool workers and ``repro serve``.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+import time
 from pathlib import Path
 
 from ..core.checkpoint import SearchCheckpoint
 from ..util.errors import ReproError
+from .spec import SpecError
 
-__all__ = ["CHECKPOINT_SUFFIX", "CheckpointStore", "MemoryCheckpointStore"]
+__all__ = ["CHECKPOINT_SUFFIX", "CheckpointStore", "MemoryCheckpointStore",
+           "budget_preempt", "parse_preempt_after"]
 
 CHECKPOINT_SUFFIX = ".ckpt.json"
 
@@ -120,3 +126,41 @@ class MemoryCheckpointStore(CheckpointStore):
 
     def delete(self, spec_hash: str) -> None:
         self.entries.pop(spec_hash, None)
+
+
+def parse_preempt_after(text: str) -> "tuple[str, float]":
+    """Parse a ``--preempt-after`` budget: ``"800n"`` means 800 search
+    nodes (deterministic — what the CI smoke uses), a bare number means
+    that many wall-clock seconds.  Returns ``("nodes", 800.0)`` or
+    ``("seconds", 2.5)``."""
+    raw = str(text).strip().lower()
+    try:
+        if raw.endswith("n"):
+            nodes = int(raw[:-1])
+            if nodes <= 0:
+                raise ValueError(raw)
+            return ("nodes", float(nodes))
+        seconds = float(raw)
+        if seconds <= 0:
+            raise ValueError(raw)
+        return ("seconds", seconds)
+    except ValueError:
+        raise SpecError(
+            f"bad preempt-after value {text!r} "
+            "(expected a node count like '800n' or seconds like '2.5')"
+        ) from None
+
+
+def budget_preempt(budget: tuple[str, float] | None, prior: SearchCheckpoint | None):
+    """The preempt callback for a parsed ``budget``, or ``None`` without
+    one.  A node budget counts from ``prior``'s node floor, so every
+    resumed slice advances the proof by the full budget; a seconds
+    budget counts from now."""
+    if budget is None:
+        return None
+    unit, amount = budget
+    if unit == "nodes":
+        ceiling = (prior.nodes if prior is not None else 0) + int(amount)
+        return lambda st: st.nodes >= ceiling
+    deadline = time.monotonic() + amount
+    return lambda st: time.monotonic() >= deadline

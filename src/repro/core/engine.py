@@ -125,6 +125,7 @@ from __future__ import annotations
 import sys
 import time
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -1757,9 +1758,10 @@ def exact_decomposition(
         return None
     alive = [True] * len(pool)
     covered = [False] * len(index)
-    chosen: list[CycleBlock] = []
 
-    def search(triangles: int) -> bool:
+    def node() -> list[int] | None:
+        """Count one node; return its branch chord's candidates (empty
+        at a dead end, ``None`` once every chord is covered)."""
         st.nodes += 1
         if st.nodes > node_limit:
             raise SolverError(
@@ -1769,41 +1771,56 @@ def exact_decomposition(
         for e, count in enumerate(live):
             if count < fewest and not covered[e]:
                 if count == 0:
-                    return False
+                    return []
                 branch, fewest = e, count
-        if branch < 0:
-            return True
-        for b in per_edge[branch]:
-            tri = triangles + (pool[b].size == 3)
-            if not alive[b] or (max_triangles is not None and tri > max_triangles):
-                continue
-            killed = []
-            for e in block_edges[b]:
-                covered[e] = True
-                for c in per_edge[e]:
-                    if alive[c]:
-                        alive[c] = False
-                        killed.append(c)
-                        for f in block_edges[c]:
-                            live[f] -= 1
-            chosen.append(pool[b])
-            if search(tri):
-                return True
-            chosen.pop()
-            for c in killed:
-                alive[c] = True
-                for f in block_edges[c]:
-                    live[f] += 1
-            for e in block_edges[b]:
-                covered[e] = False
-        return False
+        return per_edge[branch] if branch >= 0 else None
 
-    found = search(0)
+    # An explicit stack of candidate iterators, one per open node, and a
+    # trail of the blocks chosen on the way down with the blocks each
+    # killed: recursion would need a Python frame per chosen block.
+    stack: list[tuple[Iterator[int], int]] = []
+    trail: list[tuple[int, list[int]]] = []
+    cands = node()
+    if cands is not None:
+        stack.append((iter(cands), 0))
+    while stack:
+        candidates, triangles = stack[-1]
+        for b in candidates:
+            tri = triangles + (pool[b].size == 3)
+            if alive[b] and (max_triangles is None or tri <= max_triangles):
+                break
+        else:
+            # Node exhausted: undo the choice that led to it.
+            stack.pop()
+            if trail:
+                b, killed = trail.pop()
+                for c in killed:
+                    alive[c] = True
+                    for f in block_edges[c]:
+                        live[f] += 1
+                for e in block_edges[b]:
+                    covered[e] = False
+            continue
+        killed = []
+        for e in block_edges[b]:
+            covered[e] = True
+            for c in per_edge[e]:
+                if alive[c]:
+                    alive[c] = False
+                    killed.append(c)
+                    for f in block_edges[c]:
+                        live[f] -= 1
+        trail.append((b, killed))
+        cands = node()
+        if cands is None:
+            break
+        stack.append((iter(cands), tri))
+
     st.proven_optimal = True  # success, or exhaustion certifies non-existence
-    if found:
-        st.best_value = len(chosen)
-        return chosen
-    return None
+    if cands is not None:
+        return None
+    st.best_value = len(trail)
+    return [pool[b] for b, _ in trail]
 
 
 # ---------------------------------------------------------------------------

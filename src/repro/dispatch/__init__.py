@@ -38,6 +38,7 @@ door; this package is the machinery.
 
 from __future__ import annotations
 
+from ..api.checkpoints import parse_preempt_after
 from .base import (
     DispatchError,
     EnvelopeError,
@@ -67,11 +68,7 @@ from .faults import (
 from .inprocess import InProcessTransport
 from .spool import SpoolTransport
 from .subproc import SubprocessTransport
-from .worker import (
-    parse_preempt_after,
-    spool_worker_loop,
-    stdio_worker_loop,
-)
+from .worker import spool_worker_loop, stdio_worker_loop
 
 __all__ = [
     "DEGRADE_POLICIES",

@@ -25,13 +25,13 @@ Three transports ship (each in its own module):
     ``<spec-hash>.result.json`` answers, claimed by atomic rename —
     suitable for many machines sharing a filesystem.
 
-Worker-pool transports (``subprocess``; ``spool`` re-implements the
-same policy over files) share :class:`QueueRunner`: a deque drained in
-the dispatcher's order, per-job wall-clock deadlines, and
+The ``subprocess`` transport runs on :class:`QueueRunner`: a deque
+drained in the dispatcher's order, per-job wall-clock deadlines, and
 *retry-with-exclusion* — a job whose worker dies is re-queued with the
 dead worker's id excluded, so the retry lands elsewhere, and a job that
 outlives the retry budget fails the whole dispatch loudly instead of
-spinning.
+spinning.  ``spool`` keeps its queue in files but charges retries
+through the same :func:`give_up_or_back_off`.
 
 Retry *timing* is governed by :class:`RetryPolicy` — a seed-free,
 fully deterministic capped exponential backoff shared by every
@@ -74,6 +74,7 @@ __all__ = [
     "TransportOutcome",
     "WorkerDeath",
     "WorkerPreempted",
+    "give_up_or_back_off",
 ]
 
 
@@ -225,6 +226,29 @@ class TransportOutcome:
     degraded: list[Job] = field(default_factory=list)  # absorbed by on_exhausted
 
 
+def give_up_or_back_off(
+    job: Job,
+    policy: RetryPolicy,
+    outcome: TransportOutcome,
+    exhausted: Callable[[], DispatchError],
+    absorb: Callable[[Job, Exception], bool],
+) -> float | None:
+    """The retry rule every queue transport shares: charge ``job`` one
+    attempt.  Past ``policy.max_retries`` the ``exhausted()`` failure is
+    offered to ``absorb`` (the transport's ``on_exhausted`` wrapper):
+    ``None`` when absorbed, raised when not.  Otherwise the retry is
+    counted and its backoff delay returned — the job must sit out that
+    many seconds before any worker may take it."""
+    job.attempts += 1
+    if job.attempts > policy.max_retries:
+        failure = exhausted()
+        if absorb(job, failure):
+            return None
+        raise failure
+    outcome.retries += 1
+    return policy.delay(job.attempts)
+
+
 class Transport(ABC):
     """Executes jobs somewhere and reports envelopes back."""
 
@@ -345,12 +369,9 @@ class QueueRunner:
                     return
                 t0 = perf_counter()
                 try:
-                    if job.checkpoint is not None:
-                        result = worker.solve(
-                            job.spec, self.job_timeout, checkpoint=job.checkpoint
-                        )
-                    else:
-                        result = worker.solve(job.spec, self.job_timeout)
+                    result = worker.solve(
+                        job.spec, self.job_timeout, checkpoint=job.checkpoint
+                    )
                     self.on_result(job, result, perf_counter() - t0, worker.id)
                 except WorkerPreempted as pre:
                     # Not a death: the worker flushed a resumable
@@ -437,30 +458,35 @@ class QueueRunner:
             self.cond.notify_all()
 
     def _requeue(self, job: Job, worker_id: str, death: Exception) -> None:
+        """Retry a dead worker's job; raises if it is exhausted and not absorbed."""
         with self.cond:
             self.in_flight -= 1
             self.outcome.worker_deaths += 1
-            job.attempts += 1
             job.excluded = job.excluded + (worker_id,)
-            if job.attempts > self.policy.max_retries:
-                exhausted = DispatchError(
+            # Waiters wake only once this block releases the lock, so
+            # one notify covers every exit below.
+            self.cond.notify_all()
+            delay = give_up_or_back_off(
+                job,
+                self.policy,
+                self.outcome,
+                lambda: DispatchError(
                     f"job {job.spec_hash[:12]} (n={job.spec.n}) died on "
                     f"{job.attempts} distinct workers; last: {death}"
-                )
-                if not self._absorb_locked(job, exhausted):
-                    self.failure = exhausted
-            elif self.outcome.worker_deaths > self.death_cap:
-                self.failure = DispatchError(
+                ),
+                self._absorb_locked,
+            )
+            if delay is None:
+                return
+            if self.outcome.worker_deaths > self.death_cap:
+                raise DispatchError(
                     f"{self.outcome.worker_deaths} worker deaths across the "
                     f"batch — transport looks unhealthy; last: {death}"
                 )
-            else:
-                self.outcome.retries += 1
-                # Deterministic capped exponential backoff: the retry
-                # sits out its window before any slot may claim it.
-                job.not_before = perf_counter() + self.policy.delay(job.attempts)
-                self.pending.appendleft(job)
-            self.cond.notify_all()
+            # The retry sits out its backoff window before any slot may
+            # claim it.
+            job.not_before = perf_counter() + delay
+            self.pending.appendleft(job)
 
     def _quarantine_slot(self) -> bool:
         """The circuit breaker: retire this slot (its workers keep
@@ -484,9 +510,7 @@ class QueueRunner:
         """Offer a dead-end job to the degradation hook (caller holds
         ``self.cond``).  True when the hook absorbed it — the batch
         continues without an envelope for this job."""
-        if self.on_exhausted is None:
-            return False
-        if not self.on_exhausted(job, failure):
+        if self.on_exhausted is None or not self.on_exhausted(job, failure):
             return False
         self.outcome.degraded.append(job)
         return True

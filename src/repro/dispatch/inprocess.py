@@ -49,8 +49,8 @@ def _solve_in_process(spec: CoverSpec) -> Result:
 
 
 def _solve_capturing(spec: CoverSpec):
-    """Picklable pooled-path body when a degradation hook is armed:
-    solver failures come back as values instead of poisoning the pool."""
+    """Picklable pooled-path body: solver failures come back as values
+    instead of poisoning the pool."""
     try:
         return ("ok", _solve_in_process(spec))
     except ReproError as exc:
@@ -93,17 +93,6 @@ class InProcessTransport(Transport):
             outcome.skipped.extend(jobs)
             return outcome
         t0 = perf_counter()
-        if on_exhausted is None:
-            results = parallel_map(
-                _solve_in_process,
-                [job.spec for job in jobs],
-                workers=nworkers,
-                weights=[job.weight for job in jobs],
-            )
-            elapsed = perf_counter() - t0
-            for job, result in zip(jobs, results):
-                on_result(job, result, elapsed, "pool")
-            return outcome
         captured = parallel_map(
             _solve_capturing,
             [job.spec for job in jobs],
@@ -114,8 +103,8 @@ class InProcessTransport(Transport):
         for job, (tag, value) in zip(jobs, captured):
             if tag == "ok":
                 on_result(job, value, elapsed, "pool")
-            elif on_exhausted(job, value):
+            elif on_exhausted is not None and on_exhausted(job, value):
                 outcome.degraded.append(job)
             else:
-                raise value
+                raise value  # the first failure in job order
         return outcome

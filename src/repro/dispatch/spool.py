@@ -28,22 +28,21 @@ monotone ``beat`` counter, bumped at most every ``heartbeat_every``
 seconds, piggybacked on the engine's preempt polls) for as long as the
 proof advances.  The dispatcher tracks each claim's beat against its
 *local* clock — only beat changes cross the filesystem, so clock skew
-between machines is irrelevant — and reclaims a claim through exactly
-three doors:
+between machines is irrelevant — and :func:`watch_claim` reopens a
+claim in exactly two cases:
 
 * the claimer is a locally-spawned process that has exited (immediate);
-* the claimer's lease has gone **stale**: its beat stopped moving for
-  ``lease_timeout`` seconds (crash on a remote machine, stall, SIGSTOP
-  past the lease window, dropped heartbeats);
-* the claimer never wrote a lease at all (a previous-release worker)
-  and the old job deadline has passed — the legacy reclaim, kept one
-  release for mixed fleets.
+* the claimer's beat has not moved for ``lease_timeout`` seconds,
+  counted from when the dispatcher first saw that claimer (crash on a
+  remote machine, stall, SIGSTOP past the lease window, dropped
+  heartbeats).  A claim with no readable lease is a beat that never
+  moved.
 
-A slow worker whose lease keeps renewing is **never** reclaimed, no
-matter how far past ``job_timeout`` it runs — the deadline-based
-double-solve window of earlier releases is gone.  A reclaimed job's
-still-running straggler may yet write its (identical, atomic) envelope;
-that is benign.
+A slow worker whose lease keeps renewing is **never** reclaimed, however
+long it runs; ``job_timeout`` is the ``subprocess`` transport's
+deadline and plays no part here.  A reclaimed job's still-running
+straggler may yet write its (identical, atomic) envelope; that is
+benign.
 
 Retry timing follows the shared :class:`~repro.dispatch.base.RetryPolicy`:
 a failed job sits out its deterministic capped-exponential backoff
@@ -81,8 +80,9 @@ import subprocess
 import tempfile
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from ..api.result import Result
 from .base import (
@@ -96,6 +96,7 @@ from .base import (
     RetryPolicy,
     Transport,
     TransportOutcome,
+    give_up_or_back_off,
 )
 from .subproc import worker_command, worker_env
 from .worker import (
@@ -105,22 +106,44 @@ from .worker import (
     _atomic_write,
 )
 
-__all__ = ["LEASE_TIMEOUT_DEFAULT", "SpoolTransport"]
+__all__ = ["LEASE_TIMEOUT_DEFAULT", "ClaimWatch", "SpoolTransport", "watch_claim"]
 
 # A lease whose beat hasn't moved for this long marks its worker dead.
 # Generous relative to the 0.5 s default heartbeat cadence: renewals
 # ride the engine's preempt polls, which a healthy proof hits many
 # times per second, so ten missed windows is a worker that is gone.
 LEASE_TIMEOUT_DEFAULT = 5.0
-# How long a fresh claim may sit without any lease before the legacy
-# (deadline-based) reclaim may touch it.  Current workers write the
-# lease before the claim rename, so their claims are never lease-less;
-# the grace is a margin for a shared filesystem that shows the claim
-# before the lease, so only genuinely lease-less (old-release) workers
-# ever take the legacy door.
-_LEASE_GRACE = 1.0
 # Idle drain ticks back off toward this ceiling (reset on progress).
 _DRAIN_IDLE_CAP = 0.25
+
+
+class ClaimWatch(NamedTuple):
+    """The dispatcher's view of one claim, on its local clock."""
+
+    claimer: str
+    beat: int | None  # last lease beat read (None: none readable yet)
+    moved: float  # when the beat last moved, or the claimer was first seen
+
+
+def watch_claim(
+    watch: ClaimWatch | None,
+    claimer: str | None,
+    beat: int | None,
+    dead: set[str],
+    now: float,
+    lease_timeout: float,
+) -> tuple[ClaimWatch | None, bool]:
+    """One poll of a pending job's claim: the updated watch and whether
+    to reopen the claim.  ``claimer`` is ``None`` when unclaimed,
+    ``beat`` ``None`` when no lease is readable; ``dead`` holds exited
+    local worker ids.  A new claimer restarts the window."""
+    if claimer is None:
+        return None, False
+    if watch is None or watch.claimer != claimer:
+        watch = ClaimWatch(claimer, None, now)
+    if beat is not None and beat != watch.beat:
+        watch = ClaimWatch(claimer, beat, now)
+    return watch, claimer in dead or now - watch.moved > lease_timeout
 
 
 @dataclass
@@ -129,13 +152,10 @@ class _PendingJob:
 
     job: Job
     seq: int
-    since: float  # dispatch/re-queue time (legacy deadline clock)
+    since: float  # dispatch/re-queue time (for the reported job seconds)
     queued: bool = True  # document written (False inside a backoff window)
     not_before: float = 0.0  # backoff gate for the next re-queue
-    claimer: str | None = None
-    claim_seen: float = 0.0  # when the current claimer appeared (local clock)
-    lease_beat: int | None = None  # last beat observed for this claimer
-    lease_seen: float = field(default=0.0)  # local time the beat last changed
+    watch: ClaimWatch | None = None  # the current claim, if any
 
 
 _Pending = dict[str, _PendingJob]
@@ -264,9 +284,7 @@ class SpoolTransport(Transport):
             pending = self._enqueue(jobs, outcome, on_result, admit, on_exhausted)
             if pending and self.spawn_workers:
                 procs = [self._spawn_worker() for _ in range(max(1, workers))]
-            self._drain(
-                pending, outcome, on_result, job_timeout, policy, procs, on_exhausted
-            )
+            self._drain(pending, outcome, on_result, policy, procs, on_exhausted)
         finally:
             _atomic_write(stop, "")
             for proc in procs:
@@ -306,9 +324,7 @@ class SpoolTransport(Transport):
                 except (EnvelopeError, ValueError, KeyError, TypeError, OSError):
                     self._quarantine(job.spec_hash, outcome)
             self._write_job(job, seq)
-            pending[job.spec_hash] = _PendingJob(
-                job=job, seq=seq, since=time.monotonic()
-            )
+            pending[job.spec_hash] = _PendingJob(job, seq, since=time.monotonic())
         return pending
 
     def _drain(
@@ -316,7 +332,6 @@ class SpoolTransport(Transport):
         pending: _Pending,
         outcome: TransportOutcome,
         on_result: OnResult,
-        job_timeout: float | None,
         policy: RetryPolicy,
         procs: "list[subprocess.Popen | None]",
         on_exhausted: OnExhausted | None,
@@ -379,43 +394,12 @@ class SpoolTransport(Transport):
                         progressed = True
                     continue
                 claimer = claims.get(spec_hash)
-                if claimer != entry.claimer:
-                    # New claim (or claim released): restart the lease
-                    # observation for the new owner.
-                    entry.claimer = claimer
-                    entry.claim_seen = now
-                    entry.lease_beat = None
-                    entry.lease_seen = now
-                timed_out = job_timeout is not None and now - entry.since > job_timeout
-                if claimer is None:
-                    if timed_out:
-                        # Timed out but never claimed: nobody failed it —
-                        # reset the clock instead of burning a retry.
-                        entry.since = now
-                    continue
-                beat = self._lease_beat(spec_hash, claimer)
-                if beat is not None and beat != entry.lease_beat:
-                    entry.lease_beat = beat
-                    entry.lease_seen = now
-                # The reclaim state machine: a heartbeating worker is
-                # never reclaimed.  Only a dead local process, a stale
-                # lease, or (for lease-less legacy workers) the old job
-                # deadline opens the claim.
-                claim_dead = claimer in dead_ids
-                lease_stale = (
-                    entry.lease_beat is not None
-                    and now - entry.lease_seen > self.lease_timeout
+                beat = self._lease_beat(spec_hash, claimer) if claimer else None
+                entry.watch, reopen = watch_claim(
+                    entry.watch, claimer, beat, dead_ids, now, self.lease_timeout
                 )
-                legacy_timeout = (
-                    entry.lease_beat is None
-                    and beat is None
-                    and timed_out
-                    and now - entry.claim_seen > _LEASE_GRACE
-                )
-                if claim_dead or lease_stale or legacy_timeout:
-                    (claims_dir / f"{spec_hash}.{claimer}.json").unlink(
-                        missing_ok=True
-                    )
+                if reopen:
+                    (claims_dir / f"{spec_hash}.{claimer}.json").unlink(missing_ok=True)
                     self._lease_path(spec_hash, claimer).unlink(missing_ok=True)
                     job.excluded = job.excluded + (claimer,)
                     outcome.worker_deaths += 1
@@ -497,23 +481,24 @@ class SpoolTransport(Transport):
         on_exhausted: OnExhausted | None,
     ) -> None:
         job = entry.job
-        job.attempts += 1
-        if job.attempts > policy.max_retries:
-            failure = DispatchError(
+        delay = give_up_or_back_off(
+            job,
+            policy,
+            outcome,
+            lambda: DispatchError(
                 f"spool job {job.spec_hash[:12]} (n={job.spec.n}) failed "
                 f"{job.attempts} times — giving up"
-            )
-            if self._absorb(job, failure, outcome, on_exhausted):
-                del pending[job.spec_hash]
-                return
-            raise failure
-        outcome.retries += 1
+            ),
+            lambda j, exc: self._absorb(j, exc, outcome, on_exhausted),
+        )
+        if delay is None:
+            del pending[job.spec_hash]
+            return
         # The document is re-written only once the deterministic backoff
         # window has passed — the drain loop wakes for it.
         entry.queued = False
-        entry.not_before = time.monotonic() + policy.delay(job.attempts)
-        entry.claimer = None
-        entry.lease_beat = None
+        entry.not_before = time.monotonic() + delay
+        entry.watch = None
 
     # -- local worker processes ------------------------------------------
 

@@ -46,11 +46,10 @@ Heartbeat leases: a spool worker writes
 job (so no claim is ever visible without its lease) and *renews* it
 (bumping a monotone ``beat`` counter) at most every ``heartbeat_every``
 seconds, piggybacked on the engine's preempt-poll cadence — zero extra
-engine hooks.  The dispatcher reclaims a claim
-only when its lease goes stale (the beat stops moving), never while
-the worker is demonstrably alive — which is what decouples reclaim
-from the job deadline and closes the duplicate-solve window a
-deadline-only reclaim had for slow-but-healthy workers.
+engine hooks.  Apart from a locally spawned worker that has exited, the
+dispatcher reclaims a claim only when its beat has stopped moving for
+the lease timeout — never while the worker is demonstrably alive, and
+never on a job deadline.
 
 Jobs are solved through :func:`repro.api.solve` with **no cache**, so
 the envelope a worker emits is byte-identical to what an in-process
@@ -78,7 +77,12 @@ from collections import deque
 from pathlib import Path
 from typing import Any, TextIO
 
-from ..api.checkpoints import CheckpointStore, MemoryCheckpointStore
+from ..api.checkpoints import (
+    CheckpointStore,
+    MemoryCheckpointStore,
+    budget_preempt,
+    parse_preempt_after,
+)
 from ..api.spec import CoverSpec, SpecError
 from ..core.checkpoint import SearchCheckpoint
 from ..util.errors import ReproError, SolverPreempted
@@ -90,7 +94,6 @@ __all__ = [
     "SPOOL_CHECKPOINT_EVERY_DEFAULT",
     "SPOOL_ERROR_FORMAT",
     "SPOOL_JOB_FORMAT",
-    "parse_preempt_after",
     "spool_worker_loop",
     "stdio_worker_loop",
 ]
@@ -107,29 +110,6 @@ HEARTBEAT_EVERY_DEFAULT = 0.5
 # Adaptive idle polling backs off toward this ceiling while the spool
 # stays empty, and snaps back to the base interval on the first claim.
 SPOOL_IDLE_POLL_CAP = 0.5
-
-
-def parse_preempt_after(text: str) -> "tuple[str, float]":
-    """Parse a ``--preempt-after`` budget: ``"800n"`` means 800 search
-    nodes (deterministic — what the CI smoke uses), a bare number means
-    that many wall-clock seconds.  Returns ``("nodes", 800.0)`` or
-    ``("seconds", 2.5)``."""
-    raw = str(text).strip().lower()
-    try:
-        if raw.endswith("n"):
-            nodes = int(raw[:-1])
-            if nodes <= 0:
-                raise ValueError(raw)
-            return ("nodes", float(nodes))
-        seconds = float(raw)
-        if seconds <= 0:
-            raise ValueError(raw)
-        return ("seconds", seconds)
-    except ValueError:
-        raise SpecError(
-            f"bad preempt-after value {text!r} "
-            "(expected a node count like '800n' or seconds like '2.5')"
-        ) from None
 
 
 def _solve_payload(
@@ -161,16 +141,13 @@ def _solve_payload(
             heartbeat()
             return _inner(st) if _inner is not None else False
 
-    if checkpoints is None and checkpoint_every is None and preempt is None:
-        result = solve(spec, cache=None)
-    else:
-        result = solve(
-            spec,
-            cache=None,
-            checkpoints=checkpoints,
-            checkpoint_every=checkpoint_every,
-            preempt=preempt,
-        )
+    result = solve(
+        spec,
+        cache=None,
+        checkpoints=checkpoints,
+        checkpoint_every=checkpoint_every,
+        preempt=preempt,
+    )
     return spec, result.to_payload()
 
 
@@ -370,11 +347,9 @@ def _claim_one(
 ) -> tuple[str, dict, Path, _Lease] | None:
     """Claim the first eligible job via atomic rename; losers of the
     rename race clear their lease and move on to the next file.  The
-    claim's heartbeat lease is written *before* the rename, so
-    a claim is never visible without its lease: a worker descheduled
-    right after claiming still holds a leased claim, which the
-    dispatcher reclaims only once the beat goes stale — never through
-    the legacy door meant for lease-less old-release workers.  Job
+    claim's heartbeat lease is written *before* the rename, so a claim
+    is never visible without its lease and the dispatcher's lease
+    window covers it from the first moment it can be seen.  Job
     files are named ``<seq>-<spec-hash>.json`` with ``<seq>`` the
     dispatcher's schedule position, so sorted directory order *is* the
     LPT heaviest-first plan."""
@@ -524,22 +499,6 @@ def _run_spool_job(
     return True
 
 
-def _spool_preempt(budget, store: CheckpointStore, spec_hash: str):
-    """The per-claim preempt callback for a ``preempt_after`` budget:
-    node budgets count from the resumed checkpoint's floor (so every
-    claim advances the proof by the full budget), second budgets count
-    from claim time."""
-    if budget is None:
-        return None
-    unit, amount = budget
-    if unit == "nodes":
-        prior = store.load(spec_hash)
-        ceiling = (prior.nodes if prior is not None else 0) + int(amount)
-        return lambda st: st.nodes >= ceiling
-    deadline = time.monotonic() + amount
-    return lambda st: time.monotonic() >= deadline
-
-
 def spool_worker_loop(
     root: Path | str,
     *,
@@ -603,7 +562,7 @@ def spool_worker_loop(
             doc,
             checkpoints=store,
             checkpoint_every=checkpoint_every,
-            preempt=_spool_preempt(budget, store, spec_hash),
+            preempt=budget_preempt(budget, store.load(spec_hash)),
             injector=injector,
             heartbeat=lease.renew,
         )

@@ -34,7 +34,7 @@ import time
 from pathlib import Path
 
 from ..api.cache import ResultCache
-from ..api.checkpoints import CheckpointStore
+from ..api.checkpoints import CheckpointStore, budget_preempt
 from ..api.result import (
     DEGRADE_PROVENANCE_KEY,
     RESUME_PROVENANCE_KEY,
@@ -324,24 +324,12 @@ class SolverService:
             self.admission.release(spec)
 
     def _solve_one(self, spec_hash: str, spec: CoverSpec) -> Result:
-        prior = self.checkpoints.load(spec_hash)
-        floor = prior.nodes if prior is not None else 0
-        ceiling = deadline = None
-        if self.preempt_after is not None:
-            unit, amount = self.preempt_after
-            if unit == "nodes":
-                # Continue from the resumed checkpoint: each slice
-                # advances the proof by the full budget (CLI semantics).
-                ceiling = floor + int(amount)
-            else:
-                deadline = time.monotonic() + amount
+        budget = budget_preempt(self.preempt_after, self.checkpoints.load(spec_hash))
 
         def preempt(stats) -> bool:
             if self._drain.is_set():
                 return True
-            if ceiling is not None and stats.nodes >= ceiling:
-                return True
-            if deadline is not None and time.monotonic() >= deadline:
+            if budget is not None and budget(stats):
                 return True
             if self.poll_hook is not None and self.poll_hook(spec_hash, stats):
                 return True

@@ -14,6 +14,8 @@ tractable.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -169,6 +171,26 @@ class TestDecompositionStats:
         stats = SolverStats()
         assert exact_decomposition(6, frozenset(), stats=stats) == []
         assert stats.best_value == 0
+
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        # The n' = 43 pole completion chooses 210 blocks.  Called
+        # directly (pole_decomposition's cache would hide it), a search
+        # that recursed once per chosen block dies under a limit of 200.
+        from repro.core.pole import pole_forced_blocks
+
+        n_prime, w = 43, 22
+        forced = {e for blk in pole_forced_blocks(n_prime, w) for e in blk.edges()}
+        remaining = frozenset(
+            e for e in circular.all_chords(n_prime) if 0 not in e and e not in forced
+        )
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            blocks = exact_decomposition(n_prime, remaining, max_triangles=1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert blocks is not None and len(blocks) == 210
+        assert sorted(e for blk in blocks for e in blk.edges()) == sorted(remaining)
 
 
 class TestDihedralSymmetry:

@@ -140,8 +140,8 @@ class TestSpoolLayout:
     def test_claim_is_never_visible_without_its_lease(self, tmp_path, monkeypatch):
         """The worker writes its heartbeat lease before the claim rename,
         so a worker descheduled right after claiming still holds a leased
-        claim — the dispatcher's legacy reclaim (for lease-less
-        old-release workers) can never take it."""
+        claim, and the dispatcher's lease window covers the claim from
+        the moment it is visible."""
         from repro.dispatch import worker as worker_mod
 
         root = tmp_path / "spool"
