@@ -71,8 +71,7 @@ import json
 import sys
 import time
 from collections.abc import Callable
-
-from .analysis import experiments as X
+from types import ModuleType
 
 _SUBCOMMANDS = (
     "solve", "sweep", "objectives", "backends", "worker", "serve", "experiments", "rho"
@@ -85,33 +84,46 @@ _E10_NS = (4, 5, 6, 7, 8, 9, 10, 11)
 _E10_SHARD_THRESHOLD = 11
 _E10_TIME_BUDGET = 60.0
 
-_EXPERIMENTS: dict[str, tuple[str, Callable[[], "X.ExperimentResult"]]] = {
-    "E1": ("Theorem 1 (odd n)", lambda: X.experiment_theorem1((5, 7, 9, 11, 13, 15, 17, 21))),
-    "E2": ("Theorem 2 (even n)", lambda: X.experiment_theorem2((4, 6, 8, 10, 12, 14, 16, 18))),
-    "E3": ("paper worked example", X.experiment_paper_example),
-    "E4": ("cost model", lambda: X.experiment_cost_model((7, 9, 11, 12, 13))),
-    "E5": ("non-DRC baselines", lambda: X.experiment_nondrc_baseline((5, 7, 9, 11, 13))),
-    "E6": ("survivability sweep", lambda: X.experiment_survivability((6, 8, 9, 11))),
-    "E8": ("λK_n extension", lambda: X.experiment_lambda_fold((5, 7, 6, 8), (1, 2, 3))),
-    "E9": ("other topologies", X.experiment_topologies),
+# Each runner takes the experiment harness module: it is imported only on
+# the experiment paths, because it pulls in networkx (through the
+# extensions), which the solve path never needs.
+_EXPERIMENTS: dict[str, tuple[str, Callable[[ModuleType], object]]] = {
+    "E1": ("Theorem 1 (odd n)", lambda X: X.experiment_theorem1((5, 7, 9, 11, 13, 15, 17, 21))),
+    "E2": ("Theorem 2 (even n)", lambda X: X.experiment_theorem2((4, 6, 8, 10, 12, 14, 16, 18))),
+    "E3": ("paper worked example", lambda X: X.experiment_paper_example()),
+    "E4": ("cost model", lambda X: X.experiment_cost_model((7, 9, 11, 12, 13))),
+    "E5": ("non-DRC baselines", lambda X: X.experiment_nondrc_baseline((5, 7, 9, 11, 13))),
+    "E6": ("survivability sweep", lambda X: X.experiment_survivability((6, 8, 9, 11))),
+    "E8": ("λK_n extension", lambda X: X.experiment_lambda_fold((5, 7, 6, 8), (1, 2, 3))),
+    "E9": ("other topologies", lambda X: X.experiment_topologies()),
     "E10": (
         "exact solver certification (n ≤ 11)",
-        lambda: X.experiment_solver_certification(
+        lambda X: X.experiment_solver_certification(
             _E10_NS,
             shard_threshold=_E10_SHARD_THRESHOLD,
             time_budget=_E10_TIME_BUDGET,
         ),
     ),
-    "E11": ("protection vs restoration", lambda: X.experiment_protection_vs_restoration((8, 11, 14))),
-    "E12": ("dual-failure degradation", lambda: X.experiment_dual_failures((8, 10, 12))),
+    "E11": ("protection vs restoration", lambda X: X.experiment_protection_vs_restoration((8, 11, 14))),
+    "E12": ("dual-failure degradation", lambda X: X.experiment_dual_failures((8, 10, 12))),
 }
 
 
 def _parse_range(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in spec.split(",")]
+    """argparse ``type=`` for ring-size ranges: ``LO..HI`` or ``A,B,C``."""
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            ns = list(range(int(lo), int(hi) + 1))
+        else:
+            ns = [int(s) for s in spec.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"range must be LO..HI or comma-separated integers, got {spec!r}"
+        ) from None
+    if not ns:
+        raise argparse.ArgumentTypeError(f"range {spec!r} is empty")
+    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +441,12 @@ def _cmd_sweep(argv: list[str]) -> int:
         prog="python -m repro sweep",
         description="Solve a range of ring sizes through the declarative API.",
     )
-    parser.add_argument("--ns", required=True, metavar="RANGE",
+    parser.add_argument("--ns", type=_parse_range, required=True, metavar="RANGE",
                         help="ring sizes (e.g. 4..11 or 5,9,14)")
     _add_spec_arguments(parser)
     _add_dispatch_arguments(parser)
     args = parser.parse_args(argv)
-    return _run_jobs(_parse_range(args.ns), args)
+    return _run_jobs(args.ns, args)
 
 
 def _cmd_objectives(argv: list[str]) -> int:
@@ -717,10 +729,12 @@ def _run_experiments(selected: list[str]) -> int:
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)} (try --list)", file=sys.stderr)
         return 2
+    from .analysis import experiments
+
     for key in selected:
         desc, runner = _EXPERIMENTS[key]
         print(f"\n# {key} — {desc}\n")
-        print(runner().render())
+        print(runner(experiments).render())
     return 0
 
 
@@ -737,14 +751,18 @@ def _cmd_experiments(argv: list[str]) -> int:
     return _run_experiments(args.experiments)
 
 
-def _print_rho(spec: str) -> int:
+def _print_rho(ns: list[int]) -> int:
     from .core.formulas import optimal_excess, rho, theorem_cycle_mix
     from .util.tables import Table
 
     table = Table("ρ(n) — minimum DRC-covering sizes", ["n", "ρ(n)", "C3", "C4", "excess"])
-    for n in _parse_range(spec):
-        mix = theorem_cycle_mix(n)
-        table.add_row(n, rho(n), mix[3], mix[4], optimal_excess(n))
+    try:
+        for n in ns:
+            mix = theorem_cycle_mix(n)
+            table.add_row(n, rho(n), mix[3], mix[4], optimal_excess(n))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(table.render())
     return 0
 
@@ -754,7 +772,8 @@ def _cmd_rho(argv: list[str]) -> int:
         prog="python -m repro rho",
         description="Print closed-form ρ(n) over a range.",
     )
-    parser.add_argument("range", metavar="RANGE", help="e.g. 6..20 or 5,9,14")
+    parser.add_argument("range", type=_parse_range, metavar="RANGE",
+                        help="e.g. 6..20 or 5,9,14")
     args = parser.parse_args(argv)
     return _print_rho(args.range)
 
@@ -775,7 +794,8 @@ def _legacy_main(argv: list[str]) -> int:
     parser.add_argument("experiments", nargs="*", help="experiment ids (default: all)")
     parser.add_argument("--list", action="store_true", help="list experiments and exit")
     parser.add_argument(
-        "--rho", metavar="RANGE", help="print ρ(n) for n in RANGE (e.g. 6..20 or 5,9,14)"
+        "--rho", type=_parse_range, metavar="RANGE",
+        help="print ρ(n) for n in RANGE (e.g. 6..20 or 5,9,14)",
     )
     args = parser.parse_args(argv)
     if args.list:

@@ -13,8 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.covering import Covering
 from ..util import circular
 
@@ -57,7 +55,7 @@ class CoveringStatistics:
 
 
 def covering_statistics(covering: Covering) -> CoveringStatistics:
-    """Compute structural statistics (vectorised where it matters)."""
+    """Compute structural statistics."""
     n = covering.n
 
     vertex_load = Counter()
@@ -65,13 +63,10 @@ def covering_statistics(covering: Covering) -> CoveringStatistics:
         vertex_load.update(blk.vertices)
     loads = [vertex_load.get(v, 0) for v in range(n)]
 
-    # Distance spectrum of covered slots, via the vectorised kernel.
-    all_edges = [e for blk in covering.blocks for e in blk.edges()]
-    if all_edges:
-        dists = circular.chord_distances_bulk(n, np.array(all_edges, dtype=np.int64))
-        spectrum = Counter(int(d) for d in dists)
-    else:
-        spectrum = Counter()
+    # Distance spectrum of covered slots.
+    spectrum = Counter(
+        circular.chord_distance(n, e) for blk in covering.blocks for e in blk.edges()
+    )
 
     required = Counter()
     for d in range(1, n // 2 + 1):
@@ -91,10 +86,10 @@ def covering_statistics(covering: Covering) -> CoveringStatistics:
         size_histogram=covering.size_histogram,
         vertex_load_min=min(loads) if loads else 0,
         vertex_load_max=max(loads) if loads else 0,
-        vertex_load_mean=float(np.mean(loads)) if loads else 0.0,
+        vertex_load_mean=sum(loads) / len(loads) if loads else 0.0,
         distance_class_coverage=dict(sorted(spectrum.items())),
         distance_class_required=dict(sorted(required.items())),
         tight_blocks=tight,
         excess_by_distance=dict(sorted(excess_by_distance.items())),
-        mean_block_distance_sum=float(np.mean(dist_sums)) if dist_sums else 0.0,
+        mean_block_distance_sum=sum(dist_sums) / len(dist_sums) if dist_sums else 0.0,
     )

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..util.errors import TopologyError
 from ..util.validation import check_positive, check_vertex
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["RingLink", "RingNetwork", "PhysicalNetwork"]
 
@@ -87,12 +89,6 @@ class RingNetwork:
         check_vertex(v, self.n)
         return ((v - 1) % self.n, (v + 1) % self.n)
 
-    def as_graph(self) -> nx.Graph:
-        g = nx.cycle_graph(self.n)
-        for i in range(self.n):
-            g.edges[i, (i + 1) % self.n]["capacity"] = self.link_capacity
-        return g
-
     # -- failure state -----------------------------------------------------
 
     def fail_link(self, index: int) -> None:
@@ -120,9 +116,13 @@ class PhysicalNetwork:
 
     Used by :mod:`repro.extensions.topologies` for trees of rings, grids
     and tori.  Nodes may be arbitrary hashables; edges carry capacities.
+    networkx is imported by the methods that use it, so the ring-only
+    solve path never loads it.
     """
 
     def __init__(self, graph: nx.Graph, *, name: str = "custom") -> None:
+        import networkx as nx
+
         if graph.number_of_nodes() == 0:
             raise TopologyError("physical network must have at least one node")
         if any(u == v for u, v in graph.edges()):
@@ -145,27 +145,31 @@ class PhysicalNetwork:
         return self.graph.edges()
 
     def is_connected(self) -> bool:
+        import networkx as nx
+
         return nx.is_connected(self.graph)
 
     def is_two_edge_connected(self) -> bool:
         """Survivable networks need 2-edge-connectivity (single link
         failures must leave all node pairs connected)."""
-        if not nx.is_connected(self.graph):
-            return False
-        return not list(nx.bridges(self.graph))
+        import networkx as nx
+
+        return self.is_connected() and not list(nx.bridges(self.graph))
 
     def is_ring(self) -> bool:
         return (
             self.num_nodes >= 3
             and self.num_nodes == self.num_links
             and all(d == 2 for _, d in self.graph.degree())
-            and nx.is_connected(self.graph)
+            and self.is_connected()
         )
 
     def ring_order(self) -> list[Hashable]:
         """The circular node order when the network is a ring."""
         if not self.is_ring():
             raise TopologyError(f"{self.name!r} is not a ring")
+        import networkx as nx
+
         return list(nx.cycle_basis(self.graph)[0])
 
     def __repr__(self) -> str:  # pragma: no cover

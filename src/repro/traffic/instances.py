@@ -13,8 +13,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import networkx as nx
-
 from ..util import circular
 from ..util.validation import check_positive, check_vertex
 
@@ -83,15 +81,6 @@ class Instance:
             and len(self.demand) == circular.n_chords(self.n)
             and all(m == lam for m in self.demand.values())
         )
-
-    def as_graph(self) -> nx.MultiGraph:
-        """The logical multigraph (one parallel edge per request unit)."""
-        g = nx.MultiGraph()
-        g.add_nodes_from(range(self.n))
-        for (a, b), m in self.demand.items():
-            for _ in range(m):
-                g.add_edge(a, b)
-        return g
 
     def scaled(self, factor: int) -> "Instance":
         """The instance with every multiplicity multiplied by ``factor``."""

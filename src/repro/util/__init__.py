@@ -1,6 +1,6 @@
 """Shared utilities: circle geometry, validation, tables, parallel map."""
 
-from . import circular, errors, parallel, rng, tables, validation
+from . import circular, errors, parallel, tables, validation
 from .errors import (
     CapacityError,
     ConstructionError,
@@ -16,7 +16,6 @@ __all__ = [
     "circular",
     "errors",
     "parallel",
-    "rng",
     "tables",
     "validation",
     "ReproError",

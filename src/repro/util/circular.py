@@ -6,8 +6,7 @@ logical requests are chords of that circle, and a cycle of requests is
 DRC-routable iff its vertices appear in circular order (see
 :mod:`repro.core.drc`).  This module is the single home for the circle
 arithmetic used everywhere else: gaps, distances, circular order,
-chord crossing/nesting predicates, and numpy-vectorised bulk variants
-used by the verifier and the benchmarks on large instances.
+and chord crossing/nesting predicates.
 
 Conventions
 -----------
@@ -21,8 +20,6 @@ Conventions
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-
-import numpy as np
 
 __all__ = [
     "gap",
@@ -43,8 +40,6 @@ __all__ = [
     "chords_compatible",
     "arc_between",
     "vertices_in_arc",
-    "chord_distances_bulk",
-    "cycle_gap_matrix",
     "canonical_rotation",
 ]
 
@@ -216,33 +211,6 @@ def vertices_in_arc(n: int, a: int, b: int, vertices: Iterable[int]) -> list[int
     inside = [(v, (v - a) % n) for v in vertices if 0 < (v - a) % n < span]
     inside.sort(key=lambda t: t[1])
     return [v for v, _ in inside]
-
-
-# ---------------------------------------------------------------------------
-# Vectorised bulk variants (hot paths: verifier, bounds, benchmarks)
-# ---------------------------------------------------------------------------
-
-
-def chord_distances_bulk(n: int, chords: np.ndarray) -> np.ndarray:
-    """Ring distances for an ``(m, 2)`` integer array of chords.
-
-    Vectorised; used by the verifier and the counting bound on large
-    instances where a Python loop over ``Θ(n²)`` chords would dominate.
-    """
-    arr = np.asarray(chords, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"expected (m, 2) chord array, got shape {arr.shape}")
-    g = np.mod(arr[:, 1] - arr[:, 0], n)
-    return np.minimum(g, n - g)
-
-
-def cycle_gap_matrix(n: int, cycles: Sequence[Sequence[int]]) -> list[np.ndarray]:
-    """Clockwise gap arrays for a batch of cycles (ragged lengths)."""
-    out: list[np.ndarray] = []
-    for cyc in cycles:
-        arr = np.asarray(cyc, dtype=np.int64)
-        out.append(np.mod(np.roll(arr, -1) - arr, n))
-    return out
 
 
 def canonical_rotation(cycle: Sequence[int]) -> tuple[int, ...]:

@@ -52,12 +52,6 @@ class TestRingNetwork:
         net.repair_all()
         assert net.failed_links == frozenset()
 
-    def test_as_graph(self):
-        g = RingNetwork(7, link_capacity=3).as_graph()
-        assert g.number_of_nodes() == 7
-        assert g.number_of_edges() == 7
-        assert g.edges[0, 1]["capacity"] == 3
-
     def test_link_modular(self):
         assert RingNetwork(6).link(7).index == 1
 

@@ -152,3 +152,39 @@ class TestObjectiveCli:
             line for line in capsys.readouterr().out.splitlines() if "backend" in line
         ][0]
         assert "value" not in header
+
+
+class TestRangeArguments:
+    """``sweep --ns``, ``rho RANGE`` and legacy ``--rho`` share one
+    argparse type: a malformed or empty range is a usage error (exit 2),
+    never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rho", "a..b"],
+            ["rho", "5,,7"],
+            ["sweep", "--ns", "4..x", "--no-cache"],
+            ["--rho", "x"],
+            ["sweep", "--ns", "8..4", "--no-cache"],
+            ["rho", "9..5"],
+        ],
+    )
+    def test_malformed_range_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "Traceback" not in err
+
+    def test_rho_below_three_is_a_one_line_error(self, capsys):
+        assert main(["rho", "0..3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
+    def test_sweep_below_three_keeps_the_friendly_error(self, capsys):
+        assert main(["sweep", "--ns", "2..5", "--no-cache"]) == 1
+        assert capsys.readouterr().err.startswith("error:")

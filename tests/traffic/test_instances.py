@@ -79,11 +79,6 @@ class TestCustom:
         inst = Instance(5, {(0, 3): 1, (3, 0): 2})
         assert inst.required((0, 3)) == 3
 
-    def test_as_graph(self):
-        g = from_requests(4, [(0, 1), (0, 1), (2, 3)]).as_graph()
-        assert g.number_of_edges() == 3
-        assert g.number_of_nodes() == 4
-
     def test_empty_instance(self):
         inst = Instance(4, {})
         assert inst.total_requests == 0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,17 +65,6 @@ class TestChords:
         for n in range(3, 30):
             brute = sum(C.chord_distance(n, e) for e in C.all_chords(n))
             assert C.total_chord_distance(n) == brute
-
-    def test_chord_distances_bulk_matches_scalar(self):
-        n = 17
-        chords = np.array(list(C.all_chords(n)))
-        bulk = C.chord_distances_bulk(n, chords)
-        scalar = [C.chord_distance(n, tuple(e)) for e in chords]
-        assert bulk.tolist() == scalar
-
-    def test_chord_distances_bulk_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            C.chord_distances_bulk(7, np.zeros((3, 3), dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +220,3 @@ class TestArcs:
 
     def test_canonical_rotation_distinguishes(self):
         assert C.canonical_rotation((0, 1, 2, 3)) != C.canonical_rotation((0, 2, 1, 3))
-
-    def test_cycle_gap_matrix(self):
-        gaps = C.cycle_gap_matrix(7, [(0, 2, 5)])
-        assert gaps[0].tolist() == [2, 3, 2]

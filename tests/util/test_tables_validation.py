@@ -1,11 +1,11 @@
-"""Tests for the table renderer, validators, RNG and parallel helpers."""
+"""Tests for the table renderer, validators and parallel helpers."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.util import parallel, rng, validation
+from repro.util import parallel, validation
 from repro.util.errors import ReproError, SolverError
 from repro.util.tables import Table, format_table
 
@@ -75,22 +75,6 @@ class TestValidation:
     def test_all_distinct(self):
         assert validation.all_distinct([1, 2, 3])
         assert not validation.all_distinct([1, 2, 1])
-
-
-class TestRng:
-    def test_default_deterministic(self):
-        a = rng.as_generator().integers(0, 1 << 30, 5)
-        b = rng.as_generator().integers(0, 1 << 30, 5)
-        assert a.tolist() == b.tolist()
-
-    def test_int_seed(self):
-        a = rng.as_generator(7).random()
-        b = rng.as_generator(7).random()
-        assert a == b
-
-    def test_generator_passthrough(self):
-        g = np.random.default_rng(1)
-        assert rng.as_generator(g) is g
 
 
 def _square(x: int) -> int:
