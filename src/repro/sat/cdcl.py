@@ -19,7 +19,30 @@ byte-identical bytes.
 
 Literals are non-zero Python ints in DIMACS convention (``v`` /
 ``-v``); variables are allocated densely from 1 via :meth:`Cdcl.new_var`
-or :meth:`Cdcl.ensure_vars`.
+or :meth:`Cdcl.ensure_vars`.  Literal values and watch lists are
+indexed by the literal itself: ``_lv[lit]`` is +1 / -1 / 0 for both
+signs, because Python's negative indexing puts ``-v`` at
+``len(_lv) - v``, past every positive slot.
+
+The hot loops are written for speed, and the search sequence they
+produce (and so every counter and certificate byte) rests on these
+invariants:
+
+- *Watch visit order.*  The literals of each trail entry are dequeued in
+  trail order.  Each one's watch list is walked from index 0; the
+  falsified watch is normalised to position 1, the clause is skipped if
+  position 0 is true, and a replacement watch is searched from
+  position 2 upwards.  No cached blocker literal is consulted: a stale
+  true blocker would skip a visit that moves the watch.
+- *Swap-remove.*  A clause whose watch moves is removed from the list by
+  moving the list's last clause into its slot, which is then visited
+  next.
+- *Branch rule.*  The branch variable is the minimum of
+  ``(-activity[v], v)`` over unassigned ``v``.  The heap holds at most
+  one entry per variable at its current activity (``_in_heap``) plus
+  stale entries that are skipped when popped.
+- *Propagation count.*  :attr:`Cdcl.propagations` grows by one per
+  dequeued trail literal, the one that meets a conflict included.
 """
 
 from __future__ import annotations
@@ -58,15 +81,20 @@ class Cdcl:
 
     def __init__(self) -> None:
         self.num_vars = 0
-        # Assignment state, indexed by variable (slot 0 unused).
-        self._value: list[int] = [0]  # 0 unassigned, +1 true, -1 false
+        # Literal-indexed state, sized for ``_cap`` variables: slot
+        # ``v`` holds literal ``v`` and slot ``len - v`` literal ``-v``.
+        self._cap = 0
+        self._lv: list[int] = [0]  # +1 true, -1 false, 0 unassigned
+        # watches[lit] = clauses watching ``-lit`` (visited when ``lit``
+        # becomes true).
+        self._watches: list[list[_Clause]] = [[]]
+        # Variable-indexed state (slot 0 unused).
         self._level: list[int] = [0]
         self._reason: list[_Clause | None] = [None]
         self._phase: list[bool] = [False]
         self._activity: list[float] = [0.0]
         self._seen: list[bool] = [False]
-        # watches[lit_index(l)] = clauses currently watching literal l.
-        self._watches: list[list[_Clause]] = [[], []]
+        self._in_heap: list[bool] = [False]  # has an entry at current activity
         self._clauses: list[_Clause] = []
         self._learnts: list[_Clause] = []
         self._trail: list[int] = []
@@ -88,29 +116,42 @@ class Cdcl:
     # -- variables -----------------------------------------------------
 
     def new_var(self) -> int:
-        self.num_vars += 1
-        self._value.append(0)
-        self._level.append(0)
-        self._reason.append(None)
-        self._phase.append(False)
-        self._activity.append(0.0)
-        self._seen.append(False)
-        self._watches.append([])
-        self._watches.append([])
+        self.ensure_vars(self.num_vars + 1)
         return self.num_vars
 
     def ensure_vars(self, n: int) -> None:
-        while self.num_vars < n:
-            self.new_var()
+        grow = n - self.num_vars
+        if grow <= 0:
+            return
+        if n > self._cap:
+            self._reserve(max(n, 2 * self._cap))
+        self._level += [0] * grow
+        self._reason += [None] * grow
+        self._phase += [False] * grow
+        self._activity += [0.0] * grow
+        self._seen += [False] * grow
+        self._in_heap += [False] * grow
+        self.num_vars = n
 
-    @staticmethod
-    def _widx(lit: int) -> int:
-        return (lit << 1) if lit > 0 else ((-lit << 1) | 1)
+    def _reserve(self, cap: int) -> None:
+        """Resize the literal-indexed arrays for ``cap`` variables,
+        moving the negative literals' slots to the new end."""
+        old = self._cap
+        lv = [0] * (2 * cap + 1)
+        lv[: old + 1] = self._lv[: old + 1]
+        lv[len(lv) - old :] = self._lv[len(self._lv) - old :]
+        watches: list[list[_Clause]] = [[] for _ in range(2 * cap + 1)]
+        watches[: old + 1] = self._watches[: old + 1]
+        watches[len(watches) - old :] = self._watches[len(self._watches) - old :]
+        self._lv = lv
+        self._watches = watches
+        self._cap = cap
 
     def value(self, lit: int) -> int:
         """+1 true, -1 false, 0 unassigned under the current trail."""
-        v = self._value[abs(lit)]
-        return v if lit > 0 else -v
+        if lit == 0 or abs(lit) > self.num_vars:
+            raise SolverError(f"literal {lit} outside variable range")
+        return self._lv[lit]
 
     # -- clauses -------------------------------------------------------
 
@@ -121,19 +162,22 @@ class Cdcl:
             return False
         if self._trail_lim:
             raise SolverError("clauses may only be added at decision level 0")
+        lv = self._lv
+        n = self.num_vars
         seen: set[int] = set()
         out: list[int] = []
         for lit in lits:
             lit = int(lit)
-            if lit == 0 or abs(lit) > self.num_vars:
+            if lit == 0 or lit > n or lit < -n:
                 raise SolverError(f"literal {lit} outside variable range")
             if -lit in seen:
                 return True  # tautology
             if lit in seen:
                 continue
-            if self.value(lit) == 1:
+            val = lv[lit]
+            if val == 1:
                 return True  # already satisfied at root
-            if self.value(lit) == -1:
+            if val == -1:
                 continue  # root-false literal dropped
             seen.add(lit)
             out.append(lit)
@@ -146,70 +190,109 @@ class Cdcl:
             return self._ok
         clause = _Clause(out, False)
         self._clauses.append(clause)
-        self._watches[self._widx(-out[0])].append(clause)
-        self._watches[self._widx(-out[1])].append(clause)
+        self._watches[-out[0]].append(clause)
+        self._watches[-out[1]].append(clause)
         return True
 
     # -- assignment ----------------------------------------------------
 
     def _enqueue(self, lit: int, reason: _Clause | None) -> None:
-        v = abs(lit)
-        self._value[v] = 1 if lit > 0 else -1
+        v = lit if lit > 0 else -lit
+        self._lv[lit] = 1
+        self._lv[-lit] = -1
         self._level[v] = len(self._trail_lim)
         self._reason[v] = reason
         self._trail.append(lit)
 
     def _propagate(self) -> _Clause | None:
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.propagations += 1
-            watchers = self._watches[self._widx(lit)]
+        trail = self._trail
+        lv = self._lv
+        watches = self._watches
+        level = self._level
+        reasons = self._reason
+        lvl = len(self._trail_lim)
+        head = start = self._qhead
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
+            false_lit = -lit
+            watchers = watches[lit]
             i = 0
-            while i < len(watchers):
+            end = len(watchers)
+            while i < end:
                 clause = watchers[i]
                 lits = clause.lits
                 # Normalise: the falsified literal at position 1.
-                if lits[0] == -lit:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self.value(first) == 1:
+                if first == false_lit:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_lit
+                val = lv[first]
+                if val == 1:
                     i += 1
                     continue
-                moved = False
-                for j in range(2, len(lits)):
-                    if self.value(lits[j]) != -1:
-                        lits[1], lits[j] = lits[j], lits[1]
-                        self._watches[self._widx(-lits[1])].append(clause)
-                        watchers[i] = watchers[-1]
-                        watchers.pop()
-                        moved = True
+                j = 2
+                size = len(lits)
+                while j < size:
+                    q = lits[j]
+                    if lv[q] != -1:
+                        # Move the watch to q; the last watcher takes slot i.
+                        lits[1] = q
+                        lits[j] = false_lit
+                        watches[-q].append(clause)
+                        end -= 1
+                        watchers[i] = watchers[end]
+                        del watchers[end]
                         break
-                if moved:
-                    continue
-                if self.value(first) == -1:
-                    self._qhead = len(self._trail)
-                    return clause  # conflict
-                self._enqueue(first, clause)
-                i += 1
+                    j += 1
+                else:
+                    if val == -1:
+                        self.propagations += head - start
+                        self._qhead = len(trail)
+                        return clause  # conflict
+                    lv[first] = 1
+                    lv[-first] = -1
+                    v = first if first > 0 else -first
+                    level[v] = lvl
+                    reasons[v] = clause
+                    trail.append(first)
+                    i += 1
+        self.propagations += head - start
+        self._qhead = head
         return None
 
     def _cancel_until(self, level: int) -> None:
-        if len(self._trail_lim) <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        bound = self._trail_lim[level]
+        bound = trail_lim[level]
+        trail = self._trail
+        lv = self._lv
+        phase = self._phase
+        reasons = self._reason
+        activity = self._activity
+        in_heap = self._in_heap
         heap = self._heap
         push = heapq.heappush
-        for lit in reversed(self._trail[bound:]):
-            v = abs(lit)
-            self._phase[v] = lit > 0
-            self._value[v] = 0
-            self._reason[v] = None
-            push(heap, (-self._activity[v], v))
-        del self._trail[bound:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
-        # Duplicate (stale) entries accumulate across backtracks; rebuild
+        for i in range(len(trail) - 1, bound - 1, -1):
+            lit = trail[i]
+            lv[lit] = 0
+            lv[-lit] = 0
+            if lit > 0:
+                v = lit
+                phase[v] = True
+            else:
+                v = -lit
+                phase[v] = False
+            reasons[v] = None
+            if not in_heap[v]:
+                in_heap[v] = True
+                push(heap, (-activity[v], v))
+        del trail[bound:]
+        del trail_lim[level:]
+        self._qhead = len(trail)
+        # Stale entries (bumped since their push) accumulate; rebuild
         # once they dominate so pops stay cheap.
         if len(heap) > 4 * self.num_vars + 16:
             self._rebuild_heap()
@@ -217,29 +300,39 @@ class Cdcl:
     # -- VSIDS ---------------------------------------------------------
 
     def _rebuild_heap(self) -> None:
-        self._heap = [
-            (-self._activity[v], v)
-            for v in range(1, self.num_vars + 1)
-            if self._value[v] == 0
-        ]
-        heapq.heapify(self._heap)
+        lv = self._lv
+        activity = self._activity
+        in_heap = self._in_heap
+        heap = []
+        for v in range(1, self.num_vars + 1):
+            free = lv[v] == 0
+            in_heap[v] = free
+            if free:
+                heap.append((-activity[v], v))
+        heapq.heapify(heap)
+        self._heap = heap
 
-    def _bump(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > _RESCALE:
-            for v in range(1, self.num_vars + 1):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-            self._rebuild_heap()
+    def _rescale(self) -> None:
+        activity = self._activity
+        for v in range(1, self.num_vars + 1):
+            activity[v] *= 1e-100
+        self._var_inc *= 1e-100
+        self._rebuild_heap()
 
     def _pick_branch_var(self) -> int:
         heap = self._heap
+        lv = self._lv
+        activity = self._activity
+        in_heap = self._in_heap
+        pop = heapq.heappop
         while heap:
-            act, v = heapq.heappop(heap)
-            if self._value[v] == 0 and act == -self._activity[v]:
-                return v
+            act, v = pop(heap)
+            if act == -activity[v]:
+                in_heap[v] = False
+                if lv[v] == 0:
+                    return v
         for v in range(1, self.num_vars + 1):
-            if self._value[v] == 0:
+            if lv[v] == 0:
                 return v
         return 0
 
@@ -247,62 +340,90 @@ class Cdcl:
 
     def _analyze(self, conflict: _Clause) -> tuple[list[int], int]:
         seen = self._seen
+        levels = self._level
+        reasons = self._reason
+        trail = self._trail
+        activity = self._activity
+        in_heap = self._in_heap
+        var_inc = self._var_inc
         learnt: list[int] = [0]  # slot 0 = asserting literal (filled last)
         counter = 0
         lit = 0
         reason: _Clause | None = conflict
-        idx = len(self._trail) - 1
+        idx = len(trail) - 1
         cur_level = len(self._trail_lim)
         while True:
             assert reason is not None
-            reason.activity += self._var_inc
-            start = 0 if lit == 0 else 1
-            for q in reason.lits[start:]:
-                v = abs(q)
-                if not seen[v] and self._level[v] > 0:
-                    seen[v] = True
-                    self._bump(v)
-                    if self._level[v] >= cur_level:
-                        counter += 1
-                    else:
-                        learnt.append(q)
-            while not seen[abs(self._trail[idx])]:
+            reason.activity += var_inc
+            lits = reason.lits
+            for k in range(0 if lit == 0 else 1, len(lits)):
+                q = lits[k]
+                v = q if q > 0 else -q
+                if not seen[v]:
+                    lvl = levels[v]
+                    if lvl > 0:
+                        seen[v] = True
+                        # VSIDS bump: the heap entry at the old activity
+                        # goes stale.
+                        act = activity[v] + var_inc
+                        activity[v] = act
+                        in_heap[v] = False
+                        if act > _RESCALE:
+                            self._rescale()
+                            var_inc = self._var_inc
+                        if lvl >= cur_level:
+                            counter += 1
+                        else:
+                            learnt.append(q)
+            while True:
+                lit = trail[idx]
+                v = lit if lit > 0 else -lit
+                if seen[v]:
+                    break
                 idx -= 1
-            lit = self._trail[idx]
-            v = abs(lit)
             seen[v] = False
             counter -= 1
             idx -= 1
             if counter == 0:
                 break
-            reason = self._reason[v]
+            reason = reasons[v]
         learnt[0] = -lit
         # Conflict-clause minimisation (local): drop literals implied by
-        # the rest of the clause through their reason.
+        # the rest of the clause through their reason.  ``seen`` marks
+        # exactly the variables of learnt[1:] here.
         orig = learnt[1:]
-        marked = {abs(q) for q in orig}
         kept = [learnt[0]]
         for q in orig:
-            r = self._reason[abs(q)]
-            if r is not None and all(
-                abs(p) in marked or self._level[abs(p)] == 0 for p in r.lits[1:]
-            ):
-                continue
+            r = reasons[q if q > 0 else -q]
+            if r is not None:
+                lits = r.lits
+                for k in range(1, len(lits)):
+                    p = lits[k]
+                    u = p if p > 0 else -p
+                    if not seen[u] and levels[u] != 0:
+                        break
+                else:
+                    continue
             kept.append(q)
         learnt = kept
         for q in orig:
-            seen[abs(q)] = False
+            seen[q if q > 0 else -q] = False
         if len(learnt) == 1:
             bt = 0
         else:
             # Second-highest decision level among the learnt literals.
             max_i = 1
+            q = learnt[1]
+            max_lvl = levels[q if q > 0 else -q]
             for i in range(2, len(learnt)):
-                if self._level[abs(learnt[i])] > self._level[abs(learnt[max_i])]:
+                q = learnt[i]
+                lvl = levels[q if q > 0 else -q]
+                if lvl > max_lvl:
                     max_i = i
+                    max_lvl = lvl
             learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-            bt = self._level[abs(learnt[1])]
-        self._var_inc *= _DECAY
+            bt = max_lvl
+        self._var_inc = var_inc * _DECAY
         return learnt, bt
 
     def _analyze_final(self, lit: int) -> tuple[int, ...]:
@@ -312,21 +433,26 @@ class Cdcl:
         if not self._trail_lim:
             return tuple(sorted(core))
         seen = self._seen
-        seen[abs(lit)] = True
-        for i in range(len(self._trail) - 1, self._trail_lim[0] - 1, -1):
-            p = self._trail[i]
-            v = abs(p)
+        levels = self._level
+        reasons = self._reason
+        trail = self._trail
+        top = lit if lit > 0 else -lit
+        seen[top] = True
+        for i in range(len(trail) - 1, self._trail_lim[0] - 1, -1):
+            p = trail[i]
+            v = p if p > 0 else -p
             if not seen[v]:
                 continue
-            reason = self._reason[v]
+            reason = reasons[v]
             if reason is None:
                 core.add(p)  # an assumption decision
             else:
                 for q in reason.lits[1:]:
-                    if self._level[abs(q)] > 0:
-                        seen[abs(q)] = True
+                    u = q if q > 0 else -q
+                    if levels[u] > 0:
+                        seen[u] = True
             seen[v] = False
-        seen[abs(lit)] = False
+        seen[top] = False
         return tuple(sorted(core))
 
     # -- learned-clause housekeeping ----------------------------------
@@ -336,7 +462,8 @@ class Cdcl:
             (c for c in self._learnts if len(c.lits) > 2),
             key=lambda c: (c.activity, -len(c.lits)),
         )
-        locked = {id(self._reason[abs(l)]) for l in self._trail if self._reason[abs(l)]}
+        reasons = self._reason
+        locked = {id(reasons[abs(l)]) for l in self._trail if reasons[abs(l)]}
         drop = set()
         for c in learnts[: len(learnts) // 2]:
             if id(c) not in locked:
@@ -344,8 +471,9 @@ class Cdcl:
         if not drop:
             return
         self._learnts = [c for c in self._learnts if id(c) not in drop]
-        for widx in range(2, len(self._watches)):
-            self._watches[widx] = [c for c in self._watches[widx] if id(c) not in drop]
+        self._watches = [
+            [c for c in ws if id(c) not in drop] for ws in self._watches
+        ]
 
     # -- search --------------------------------------------------------
 
@@ -371,12 +499,7 @@ class Cdcl:
             self._ok = False
             self.core = ()
             return False
-        self._heap = [
-            (-self._activity[v], v)
-            for v in range(1, self.num_vars + 1)
-            if self._value[v] == 0
-        ]
-        heapq.heapify(self._heap)
+        self._rebuild_heap()
         conflicts_this_call = 0
         restart_num = 0
         restart_budget = 32 * luby(1)
@@ -418,9 +541,8 @@ class Cdcl:
                 continue
             var = self._pick_branch_var()
             if var == 0:
-                self.model = {
-                    v: self._value[v] > 0 for v in range(1, self.num_vars + 1)
-                }
+                lv = self._lv
+                self.model = {v: lv[v] > 0 for v in range(1, self.num_vars + 1)}
                 self._cancel_until(0)
                 return True
             self.decisions += 1
@@ -430,12 +552,12 @@ class Cdcl:
     def _attach_learnt(self, learnt: list[int]) -> None:
         self.learned += 1
         if len(learnt) == 1:
-            if self.value(learnt[0]) == 0:
+            if self._lv[learnt[0]] == 0:
                 self._enqueue(learnt[0], None)
             return
         clause = _Clause(learnt, True)
         clause.activity = self._var_inc
         self._learnts.append(clause)
-        self._watches[self._widx(-learnt[0])].append(clause)
-        self._watches[self._widx(-learnt[1])].append(clause)
+        self._watches[-learnt[0]].append(clause)
+        self._watches[-learnt[1]].append(clause)
         self._enqueue(learnt[0], clause)

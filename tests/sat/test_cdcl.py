@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.sat.cdcl import Cdcl, luby
+from repro.util.errors import SolverError
 
 
 def brute_force_sat(num_vars: int, clauses) -> bool:
@@ -69,6 +70,54 @@ class TestBasics:
         s.ensure_vars(1)
         assert s.add_clause([1, -1]) is True
         assert s.solve() is True
+
+
+class TestGrowth:
+    def test_growing_between_solves_keeps_root_state(self):
+        # The literal-indexed value and watch arrays are relocated when
+        # the variable count outgrows their capacity: root assignments
+        # and watches made before the move must survive it.
+        s = Cdcl()
+        s.ensure_vars(3)
+        s.add_clause([-2])  # root unit
+        s.add_clause([1, 3])
+        s.add_clause([-1, -3])
+        assert s.solve() is True
+        assert s.model[2] is False and s.model[1] != s.model[3]
+        assert (s.value(2), s.value(-2)) == (-1, 1)
+
+        assert s._cap < 40
+        s.ensure_vars(40)
+        assert s.num_vars == 40
+        assert (s.value(2), s.value(-2)) == (-1, 1)
+        assert (s.value(40), s.value(-40)) == (0, 0)
+        # x4 → x5 → … → x40 → x2, and x2 is root-false: every new
+        # variable becomes root-false, and (x4 ∨ x1) then forces x1.
+        for v in range(4, 40):
+            assert s.add_clause([-v, v + 1])
+        assert s.add_clause([-40, 2])
+        assert s.add_clause([4, 1])
+        assert s.solve() is True
+        assert all(s.model[v] is False for v in range(4, 41))
+        assert (s.model[1], s.model[2], s.model[3]) == (True, False, False)
+        assert (s.value(-2), s.value(-40), s.value(4)) == (1, 1, -1)
+        assert s.solve(assumptions=[5]) is False
+        assert s.core == (5,)
+
+    def test_new_var_numbers_densely_across_growth(self):
+        s = Cdcl()
+        assert [s.new_var() for _ in range(9)] == list(range(1, 10))
+        s.add_clause([-9])
+        s.ensure_vars(30)
+        assert s.new_var() == 31
+        assert s.value(-9) == 1
+
+    def test_value_rejects_literals_outside_the_range(self):
+        s = Cdcl()
+        s.ensure_vars(3)
+        for lit in (0, 4, -4):
+            with pytest.raises(SolverError):
+                s.value(lit)
 
 
 class TestPigeonhole:
