@@ -157,27 +157,6 @@ class Covering:
         inst = instance if instance is not None else all_to_all(self.n)
         return sorted(e for e, c in self.coverage.items() if c > inst.required(e))
 
-    def binding_edges(
-        self, index: int, instance: Instance | None = None
-    ) -> tuple[tuple[int, int], ...]:
-        """Edges of block ``index`` that any replacement block must keep
-        covering (demand would be violated without them).  O(block size)
-        via the ledger — the improver's move-generation primitive."""
-        if not 0 <= index < len(self.blocks):
-            raise IndexError(index)
-        inst = instance if instance is not None else all_to_all(self.n)
-        self._check_instance(inst)
-        return self._ledger.binding_edges(self.blocks[index], inst.demand)
-
-    def is_redundant_block(self, index: int, instance: Instance | None = None) -> bool:
-        """True when block ``index`` can be dropped with every demand
-        still satisfied."""
-        if not 0 <= index < len(self.blocks):
-            raise IndexError(index)
-        inst = instance if instance is not None else all_to_all(self.n)
-        self._check_instance(inst)
-        return self._ledger.removable(self.blocks[index], inst.demand)
-
     def is_exact(self, instance: Instance | None = None) -> bool:
         """True for a perfect decomposition: every request covered exactly
         its multiplicity and nothing else covered."""

@@ -284,7 +284,6 @@ class BlockTable(NamedTuple):
 
     blocks: tuple[CycleBlock, ...]
     masks: tuple[int, ...]
-    edge_lists: tuple[tuple[tuple[int, int], ...], ...]
     per_edge: tuple[tuple[int, ...], ...]  # chord bit → candidate block indices
     bit_lists: tuple[tuple[int, ...], ...]  # block → covered chord bits
     masses: tuple[int, ...]  # block → Σ chord distance (≤ n, = n iff tight)
@@ -412,19 +411,16 @@ def _build_table(n: int, pool: tuple[CycleBlock, ...], *, mass_sorted: bool) -> 
     space = edge_space(n)
     dist = space.dist
     masks: list[int] = []
-    edge_lists: list[tuple[tuple[int, int], ...]] = []
     bit_lists: list[tuple[int, ...]] = []
     masses: list[int] = []
     for blk in pool:
-        es = blk.edges()
         mask = 0
         bits: list[int] = []
-        for e in es:
+        for e in blk.edges():
             b = space.index[e]
             mask |= 1 << b
             bits.append(b)
         masks.append(mask)
-        edge_lists.append(es)
         bit_lists.append(tuple(bits))
         masses.append(sum(dist[b] for b in bits))
     per_edge: list[list[int]] = [[] for _ in space.edges]
@@ -444,7 +440,6 @@ def _build_table(n: int, pool: tuple[CycleBlock, ...], *, mass_sorted: bool) -> 
     return BlockTable(
         tuple(pool),
         tuple(masks),
-        tuple(edge_lists),
         tuple(tuple(c) for c in per_edge),
         tuple(bit_lists),
         tuple(masses),
@@ -660,30 +655,33 @@ class SolverEngine:
         (0 whenever the pool can reach them, which it always can for
         ``pool="convex"`` without a size restriction)."""
         table = self._table(pool, allowed_sizes)
-        residual = {e: m for e, m in demand.items() if m > 0}
+        index = self.space.index
+        residual = [0] * len(index)
+        live = 0  # chords with positive residual demand
+        for e, m in demand.items():
+            if m > 0:
+                b = index[e]
+                residual[b] = m
+                live |= 1 << b
+        masks = table.masks
+        # Maximise gain, then minimise waste (= size − gain), then the
+        # lowest index: one integer key, since gain ≤ size ≤ n.
+        width = self.n + 1
         chosen: list[int] = []
-        while residual:
-            best_key: tuple[int, int] | None = None
-            best_i = -1
-            for i, edges in enumerate(table.edge_lists):
-                gain = sum(1 for e in edges if residual.get(e, 0) > 0)
-                if gain == 0:
-                    continue
-                key = (gain, gain - len(edges))  # maximise gain, minimise waste
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best_i = i
-            if best_key is None:
+        while live:
+            scores = [(m & live).bit_count() * width - m.bit_count() for m in masks]
+            top = max(scores, default=0)
+            if top <= 0:  # no block reaches a live chord
                 break
+            best_i = scores.index(top)
             chosen.append(best_i)
-            for e in table.edge_lists[best_i]:
-                m = residual.get(e, 0)
+            for b in table.bit_lists[best_i]:
+                m = residual[b]
                 if m > 0:
+                    residual[b] = m - 1
                     if m == 1:
-                        del residual[e]
-                    else:
-                        residual[e] = m - 1
-        return chosen, sum(residual.values())
+                        live &= ~(1 << b)
+        return chosen, sum(residual)
 
     def greedy_cover(
         self,

@@ -7,17 +7,29 @@ O(block) delta machinery of :class:`~repro.core.ledger.CoverageLedger`
 (via :meth:`~repro.core.covering.Covering.replace_block` and friends):
 
 * **eject** — drop any block whose removal leaves every demand
-  satisfied (:meth:`Covering.is_redundant_block`).
-* **merge (2 → 1)** — when the *binding* edges of two blocks (the edges
-  only they provide, :meth:`Covering.binding_edges`) fit inside one
-  candidate block, replace the pair by it.
+  satisfied.
+* **merge (2 → 1)** — replace two blocks by one candidate block that
+  restores every chord the pair's removal would leave short.
 * **replace (1 → 1)** — swap a block for a strictly smaller candidate
-  that still covers its binding edges, shrinking total slots (excess)
-  and unlocking future ejects/merges.
+  that still covers its binding chords (those at slack 0), shrinking
+  total slots (excess) and unlocking future ejects/merges.
 * **ruin & recreate** — deterministically remove a small window of
   blocks, re-cover the violated demand greedily (most residual demand
   first, ties toward lower wasted coverage mass), re-run the cheap
   moves, and keep the result only if it is strictly smaller.
+
+The moves read the covering's ledger and the candidate table's chord
+bitmasks directly.  A chord's *slack* is its multiplicity minus its
+demand (0 for unrequested chords), and it is never negative, because
+every covering the moves see is feasible.  The merge pass builds two
+masks once per pass: ``S0``, the covered chords at slack 0, and ``S1``,
+those at slack 1.  Removing blocks with chord masks ``ma`` and ``mb``
+leaves a chord short by the copies the pair holds minus its slack, and
+one replacement block restores at most one copy.  So the pair is
+unmergeable iff ``ma & mb & S0`` is non-zero, and otherwise the
+replacement must cover ``((ma ^ mb) & S0) | (ma & mb & S1)``.  This
+holds for any demand: λ-fold, partial, or with unrequested chords
+covered.
 
 Every accepted move strictly decreases ``(num_blocks, total_slots)``
 lexicographically, so the search terminates; all scans run in a fixed
@@ -67,75 +79,114 @@ def _resolve_pool(n: int, pool: str) -> str:
     return pool
 
 
+class _BlockChords:
+    """Each block's chords as a bitmask, as chord bits and as chord
+    tuples (all in ``blk.edges()`` order), computed once per block per
+    :func:`improve_covering` call."""
+
+    __slots__ = ("index", "memo")
+
+    def __init__(self, n: int) -> None:
+        self.index = edge_space(n).index
+        self.memo: dict[tuple[int, ...], tuple[int, tuple[int, ...], tuple]] = {}
+
+    def __call__(self, blk) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
+        got = self.memo.get(blk.vertices)
+        if got is None:
+            edges = blk.edges()
+            bits = tuple(self.index[e] for e in edges)
+            mask = 0
+            for b in bits:
+                mask |= 1 << b
+            got = self.memo[blk.vertices] = (mask, bits, edges)
+        return got
+
+
 def _find_covering_candidate(
-    table: BlockTable, space, need: tuple[tuple[int, int], ...]
+    table: BlockTable, need: int, need_bits: list[int]
 ) -> int | None:
-    """Smallest candidate block covering every chord in ``need`` (ties
-    toward enumeration order); ``None`` when no candidate does."""
-    need_mask = 0
-    for e in need:
-        need_mask |= 1 << space.index[e]
-    if need_mask == 0:
+    """Smallest candidate block covering every chord of the mask
+    ``need`` (ties toward enumeration order); ``None`` when no candidate
+    does.  ``need_bits`` lists the same chords in scan order."""
+    if not need:
         return None
-    # Scan the candidate list of the scarcest needed chord only.
-    rare = min((space.index[e] for e in need), key=lambda b: len(table.per_edge[b]))
+    # Scan the candidate list of the scarcest needed chord only (the
+    # first such chord in scan order).
+    per_edge = table.per_edge
+    rare = min(need_bits, key=lambda b: len(per_edge[b]))
+    masks = table.masks
+    blocks = table.blocks
     best: int | None = None
-    for i in table.per_edge[rare]:
-        if need_mask & ~table.masks[i] == 0:
-            if best is None or len(table.blocks[i]) < len(table.blocks[best]):
+    for i in per_edge[rare]:
+        if need & masks[i] == need:
+            if best is None or blocks[i].size < blocks[best].size:
                 best = i
     return best
 
 
-def _eject_pass(cov: Covering, inst: Instance, st: ImproveStats) -> Covering:
+def _eject_pass(
+    cov: Covering, demand: dict, chords: _BlockChords, st: ImproveStats
+) -> Covering:
     k = len(cov.blocks) - 1
     while k >= 0:
-        if cov.is_redundant_block(k, inst):
+        counts = cov._ledger.counts
+        if all(counts[e] > demand.get(e, 0) for e in chords(cov.blocks[k])[2]):
             cov = cov.without_block(k)
             st.ejects += 1
         k -= 1
     return cov
 
 
+def _mergeable_pairs(
+    cov: Covering, demand: dict, chords: _BlockChords, pool_max: int
+):
+    """Yield ``(a, b, need, need_bits)`` for every block pair ``a < b``,
+    in index order, that one block of at most ``pool_max`` chords could
+    replace: ``need`` is the mask of chords the replacement must cover
+    and ``need_bits`` lists them in the pair's edge order (a's, then
+    b's).  Pairs with an empty need are skipped."""
+    # The slack-mask rule of the module docstring.
+    index = chords.index
+    s0 = s1 = 0
+    for e, c in cov._ledger.counts.items():
+        slack = c - demand.get(e, 0)
+        if slack == 0:
+            s0 |= 1 << index[e]
+        elif slack == 1:
+            s1 |= 1 << index[e]
+    info = [chords(blk) for blk in cov.blocks]
+    masks = [mask for mask, _, _ in info]
+    nblocks = len(masks)
+    for a in range(nblocks):
+        ma = masks[a]
+        # Block a's binding chords alone already fill the largest block.
+        if (ma & s0).bit_count() >= pool_max:
+            continue
+        for b in range(a + 1, nblocks):
+            mb = masks[b]
+            both = ma & mb
+            if both & s0:
+                continue
+            need = ((ma ^ mb) & s0) | (both & s1)
+            if not need or need.bit_count() > pool_max:
+                continue
+            need_bits = [x for x in info[a][1] if need >> x & 1]
+            need_bits += [x for x in info[b][1] if need >> x & 1 and not ma >> x & 1]
+            yield a, b, need, need_bits
+
+
 def _merge_pass(
-    cov: Covering, inst: Instance, table: BlockTable, space, st: ImproveStats
+    cov: Covering,
+    demand: dict,
+    table: BlockTable,
+    chords: _BlockChords,
+    pool_max: int,
+    st: ImproveStats,
 ) -> tuple[Covering, bool]:
     """First applicable 2 → 1 merge, scanning pairs in index order."""
-    nblocks = len(cov.blocks)
-    binding = [cov.binding_edges(i, inst) for i in range(nblocks)]
-    pool_max = max((blk.size for blk in table.blocks), default=0)
-    for a in range(nblocks):
-        if len(binding[a]) >= pool_max:
-            continue
-        blk_a = cov.blocks[a]
-        for b in range(a + 1, nblocks):
-            blk_b = cov.blocks[b]
-            # Edges that would fall below demand with *both* blocks gone.
-            # Scanning every edge of the pair matters: an edge covered
-            # exactly twice — once by each block — is binding for
-            # neither, yet loses all coverage when both are removed.
-            # The single replacement block restores at most one copy per
-            # edge, so a shortfall of two (multiplicity-λ demand met by
-            # both blocks jointly) makes the pair unmergeable.
-            need: list[tuple[int, int]] = []
-            seen: set[tuple[int, int]] = set()
-            unmergeable = False
-            for e in blk_a.edges() + blk_b.edges():
-                if e in seen:
-                    continue
-                seen.add(e)
-                contrib = blk_a.edges().count(e) + blk_b.edges().count(e)
-                shortfall = inst.required(e) - (cov.multiplicity(e) - contrib)
-                if shortfall >= 2:
-                    unmergeable = True
-                    break
-                if shortfall == 1:
-                    need.append(e)
-            if unmergeable or len(need) > pool_max:
-                continue
-            cand = _find_covering_candidate(table, space, tuple(need))
-            if cand is None:
-                continue
+    for a, b, need, need_bits in _mergeable_pairs(cov, demand, chords, pool_max):
+        cand = _find_covering_candidate(table, need, need_bits)
+        if cand is not None:
             merged = cov.replace_block(a, table.blocks[cand]).without_block(b)
             st.merges += 1
             return merged, True
@@ -143,13 +194,24 @@ def _merge_pass(
 
 
 def _replace_pass(
-    cov: Covering, inst: Instance, table: BlockTable, space, st: ImproveStats
+    cov: Covering,
+    demand: dict,
+    table: BlockTable,
+    chords: _BlockChords,
+    st: ImproveStats,
 ) -> tuple[Covering, bool]:
     """First slot-shrinking 1 → 1 replacement, in index order."""
-    for k in range(len(cov.blocks)):
-        need = cov.binding_edges(k, inst)
-        cand = _find_covering_candidate(table, space, need)
-        if cand is not None and table.blocks[cand].size < cov.blocks[k].size:
+    counts = cov._ledger.counts
+    for k, blk in enumerate(cov.blocks):
+        _, bits, edges = chords(blk)
+        need = 0
+        need_bits = []
+        for b, e in zip(bits, edges):
+            if counts[e] <= demand.get(e, 0):
+                need |= 1 << b
+                need_bits.append(b)
+        cand = _find_covering_candidate(table, need, need_bits)
+        if cand is not None and table.blocks[cand].size < blk.size:
             cov = cov.replace_block(k, table.blocks[cand])
             st.replaces += 1
             return cov, True
@@ -167,9 +229,10 @@ def _greedy_repair(
     engine's shared max-coverage greedy kernel on the residual demand.
     ``None`` if the (possibly size-restricted) pool cannot finish the
     repair."""
+    counts = cov._ledger.counts
     residual: dict[tuple[int, int], int] = {}
     for e, m in inst.demand.items():
-        short = m - cov.multiplicity(e)
+        short = m - counts.get(e, 0)
         if short > 0:
             residual[e] = short
     chosen, leftover = engine.greedy_cover_indices(
@@ -217,15 +280,17 @@ def improve_covering(
     pool_name = _resolve_pool(covering.n, pool)
     engine = SolverEngine(covering.n, max_size=max_size)
     table = engine._table(pool_name, allowed_sizes)
-    space = edge_space(covering.n)
+    pool_max = max((blk.size for blk in table.blocks), default=0)
+    chords = _BlockChords(covering.n)
+    demand = inst.demand
 
     def fixpoint(cov: Covering) -> Covering:
         while True:
-            cov = _eject_pass(cov, inst, st)
-            cov, merged = _merge_pass(cov, inst, table, space, st)
+            cov = _eject_pass(cov, demand, chords, st)
+            cov, merged = _merge_pass(cov, demand, table, chords, pool_max, st)
             if merged:
                 continue
-            cov, replaced = _replace_pass(cov, inst, table, space, st)
+            cov, replaced = _replace_pass(cov, demand, table, chords, st)
             if not replaced:
                 return cov
 

@@ -84,25 +84,6 @@ class CoverageLedger:
         total_slots − distinct covered``."""
         return self.total_slots - len(self.counts)
 
-    # -- local-search queries (the improver's move generators) -----------
-
-    def binding_edges(
-        self, blk: CycleBlock, demand: dict[tuple[int, int], int]
-    ) -> tuple[tuple[int, int], ...]:
-        """Edges of ``blk`` whose demand would become violated if one
-        copy of ``blk`` were removed — the edges any replacement block
-        must keep covering.  O(block size)."""
-        counts = self.counts
-        return tuple(
-            e for e in blk.edges() if counts.get(e, 0) - 1 < demand.get(e, 0)
-        )
-
-    def removable(self, blk: CycleBlock, demand: dict[tuple[int, int], int]) -> bool:
-        """True when dropping one copy of ``blk`` leaves every demand
-        satisfied (the block is *redundant*).  O(block size)."""
-        counts = self.counts
-        return all(counts.get(e, 0) - 1 >= demand.get(e, 0) for e in blk.edges())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CoverageLedger(distinct={len(self.counts)}, "

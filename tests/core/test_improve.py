@@ -17,9 +17,15 @@ from hypothesis import strategies as hst
 from repro.baselines.greedy import greedy_drc_covering
 from repro.core.construction import optimal_covering
 from repro.core.covering import Covering
-from repro.core.engine import SolverEngine, enumerate_convex_blocks
+from repro.core.engine import SolverEngine, edge_space, enumerate_convex_blocks
 from repro.core.formulas import rho
-from repro.core.improve import ImproveStats, improve_covering, improved_greedy_covering
+from repro.core.improve import (
+    ImproveStats,
+    _BlockChords,
+    _mergeable_pairs,
+    improve_covering,
+    improved_greedy_covering,
+)
 from repro.core.ledger import CoverageLedger
 from repro.traffic.instances import Instance, all_to_all
 from repro.util.errors import SolverError
@@ -135,19 +141,117 @@ class TestImprovedGreedy:
         assert st.start_blocks >= st.end_blocks > 0
 
 
-class TestLedgerHelpers:
-    def test_binding_edges_and_redundancy(self):
-        cov = Covering.from_vertex_lists(6, [(0, 1, 2), (0, 1, 2), (2, 3, 4)])
-        # Block 0 is duplicated: removing one copy is safe for the
-        # all-to-all demand on its own edges only where the twin covers.
-        assert not cov.binding_edges(0)  # twin covers everything block 0 has
-        assert cov.binding_edges(2) == ((2, 3), (3, 4), (2, 4))
-        assert cov.is_redundant_block(0)
-        assert not cov.is_redundant_block(2)
+def _reference_need(cov: Covering, inst: Instance, a: int, b: int):
+    """The merge rule as a tuple scan over the pair's edges: ``None``
+    when some chord would fall two copies short with both blocks gone,
+    else the chords one copy short, in the pair's edge order."""
+    blk_a, blk_b = cov.blocks[a], cov.blocks[b]
+    need: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for e in blk_a.edges() + blk_b.edges():
+        if e in seen:
+            continue
+        seen.add(e)
+        contrib = blk_a.edges().count(e) + blk_b.edges().count(e)
+        shortfall = inst.required(e) - (cov.multiplicity(e) - contrib)
+        if shortfall >= 2:
+            return None
+        if shortfall == 1:
+            need.append(e)
+    return need
 
-    def test_index_bounds(self):
-        cov = Covering.from_vertex_lists(6, [(0, 1, 2)])
-        with pytest.raises(IndexError):
-            cov.binding_edges(1)
-        with pytest.raises(IndexError):
-            cov.is_redundant_block(-1)
+
+@hst.composite
+def _feasible_starts(draw):
+    """A shuffled feasible covering of a random demand (λ ≤ 3, partial,
+    possibly with unrequested chords covered by padding blocks)."""
+    n = draw(hst.integers(min_value=4, max_value=9))
+    lam = draw(hst.integers(min_value=1, max_value=3))
+    chords = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    mults = draw(hst.lists(hst.integers(0, lam), min_size=len(chords), max_size=len(chords)))
+    demand = {e: m for e, m in zip(chords, mults) if m}
+    inst = Instance(n, demand or {(0, 1): 1})
+    pool = enumerate_convex_blocks(n)
+    base = SolverEngine(n).greedy_cover(inst, pool="convex")
+    picks = draw(hst.lists(hst.integers(0, len(pool) - 1), max_size=8))
+    blocks = draw(hst.permutations(list(base.blocks) + [pool[p] for p in picks]))
+    return Covering(n, tuple(blocks)), inst
+
+
+def _reference_greedy(table, demand):
+    """The greedy kernel as a tuple scan: the block with the most live
+    requests, ties toward less waste, then the lowest index."""
+    residual = {e: m for e, m in demand.items() if m > 0}
+    chosen = []
+    while residual:
+        best_key, best_i = None, -1
+        for i, blk in enumerate(table.blocks):
+            edges = blk.edges()
+            gain = sum(1 for e in edges if residual.get(e, 0) > 0)
+            if gain and (best_key is None or (gain, gain - len(edges)) > best_key):
+                best_key, best_i = (gain, gain - len(edges)), i
+        if best_key is None:
+            break
+        chosen.append(best_i)
+        for e in table.blocks[best_i].edges():
+            if residual.get(e, 0) > 1:
+                residual[e] -= 1
+            else:
+                residual.pop(e, None)
+    return chosen, sum(residual.values())
+
+
+class TestMasksMatchTupleScans:
+    """The merge pair test on slack masks and the greedy pick on chord
+    masks agree with the tuple scans they replaced: same mergeable
+    pairs with the same ordered need lists, same greedy picks."""
+
+    @given(start=_feasible_starts(), pool_max=hst.sampled_from((3, 4, 99)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_tuple_scan(self, start, pool_max):
+        cov, inst = start
+        space = edge_space(cov.n)
+        got = [
+            (a, b, [space.edges[x] for x in bits])
+            for a, b, need, bits in _mergeable_pairs(
+                cov, inst.demand, _BlockChords(cov.n), pool_max
+            )
+        ]
+        for _, _, need in got:
+            assert len(need) == len(set(need))
+        want = []
+        for a in range(cov.num_blocks):
+            blk = cov.blocks[a]
+            binding = [e for e in blk.edges() if cov.multiplicity(e) <= inst.required(e)]
+            if len(binding) >= pool_max:
+                continue
+            for b in range(a + 1, cov.num_blocks):
+                need = _reference_need(cov, inst, a, b)
+                if need and len(need) <= pool_max:
+                    want.append((a, b, need))
+        assert got == want
+
+    @given(
+        start=_feasible_starts(),
+        pool=hst.sampled_from(("convex", "tight")),
+        sizes=hst.sampled_from((None, (3,), (4,))),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_greedy_matches_tuple_scan(self, start, pool, sizes):
+        cov, inst = start
+        engine = SolverEngine(cov.n)
+        table = engine._table(pool, sizes)
+        got = engine.greedy_cover_indices(dict(inst.demand), pool=pool, allowed_sizes=sizes)
+        assert got == _reference_greedy(table, inst.demand)
+
+    @given(start=_feasible_starts())
+    @settings(max_examples=40, deadline=None)
+    def test_input_ledger_unchanged(self, start):
+        cov, inst = start
+        counts = dict(cov.coverage)
+        slots = cov.total_slots
+        out = improve_covering(cov, inst)
+        assert cov.coverage == counts and cov.total_slots == slots
+        assert out.covers(inst)
+        _assert_ledger_consistent(cov)
+        _assert_ledger_consistent(out)

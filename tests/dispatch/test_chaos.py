@@ -305,21 +305,40 @@ class TestLeases:
         assert [r.to_json() for r in report.results] == oracle
 
 
+class _PreemptBehindJobLine:
+    """A worker's stdin that writes a preempt control line right behind
+    the first job line.  The stdio protocol binds a preempt to the job
+    line it follows, even before the solve starts, so the worker answers
+    that job with a checkpoint at its first preempt poll, however fast
+    or slow it starts up."""
+
+    def __init__(self, pipe) -> None:
+        self._pipe = pipe
+        self._sent = False
+
+    def write(self, text: str) -> int:
+        written = self._pipe.write(text)
+        if not self._sent and '"spec"' in text:
+            self._pipe.write('{"preempt": true}\n')
+            self._sent = True
+        return written
+
+    def __getattr__(self, name):
+        return getattr(self._pipe, name)
+
+
 class TestPreemption:
     def test_stdio_preempt_hands_checkpoint_to_replacement_worker(self, n8_oracle):
         """Protocol-level migration, fully deterministic: worker 1 gets
-        the job plus an immediate preempt request, answers with a
+        the job followed by a preempt request, answers with a
         checkpoint, and exits; worker 2 resumes from that wire
         checkpoint and finishes byte-identically."""
         w1 = _SubprocessWorker("pre1")
-        timer = threading.Timer(0.05, w1._request_preempt)
-        timer.daemon = True
-        timer.start()
+        w1.proc.stdin = _PreemptBehindJobLine(w1.proc.stdin)
         try:
             with pytest.raises(WorkerPreempted) as err:
                 w1.solve(N8, None)
         finally:
-            timer.cancel()
             w1.close()
         checkpoint = err.value.checkpoint
         assert checkpoint is not None
