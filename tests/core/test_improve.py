@@ -208,7 +208,7 @@ class TestMasksMatchTupleScans:
 
     @given(start=_feasible_starts(), pool_max=hst.sampled_from((3, 4, 99)))
     @settings(max_examples=150, deadline=None)
-    def test_matches_tuple_scan(self, start, pool_max):
+    def test_merge_pairs_match_tuple_scan(self, start, pool_max):
         cov, inst = start
         space = edge_space(cov.n)
         got = [
@@ -217,8 +217,6 @@ class TestMasksMatchTupleScans:
                 cov, inst.demand, _BlockChords(cov.n), pool_max
             )
         ]
-        for _, _, need in got:
-            assert len(need) == len(set(need))
         want = []
         for a in range(cov.num_blocks):
             blk = cov.blocks[a]
