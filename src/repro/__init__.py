@@ -28,65 +28,37 @@ Package map
 ``repro.baselines``      non-DRC covers, greedy coverings (count and ADM flavours)
 ``repro.extensions``     the paper's future work: λK_n, trees of rings, grid, torus
 ``repro.analysis``       experiment harness regenerating every paper table
+
+Every name below loads its module on first use, so ``import repro``
+costs next to nothing and a solve imports only the tiers it routes to.
 """
 
-from .core import (
-    Covering,
-    CycleBlock,
-    SolverEngine,
-    assert_valid_covering,
-    counting_bound,
-    even_covering,
-    fast_covering,
-    is_drc_routable,
-    ladder_decomposition,
-    lower_bound,
-    optimal_covering,
-    optimal_excess,
-    optimality_gap,
-    improve_covering,
-    improved_greedy_covering,
-    rho,
-    route_block,
-    theorem_cycle_mix,
-    triangle_covering_number,
-    verify_covering,
-)
-from .traffic import Instance, all_to_all, lambda_all_to_all
+from .util.lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-from . import api
-from .api import CoverSpec, Result, solve, solve_batch
-
-__all__ = [
-    "CoverSpec",
-    "Result",
-    "api",
-    "solve",
-    "solve_batch",
-    "Covering",
-    "CycleBlock",
-    "Instance",
-    "SolverEngine",
-    "improve_covering",
-    "improved_greedy_covering",
-    "all_to_all",
-    "assert_valid_covering",
-    "counting_bound",
-    "even_covering",
-    "fast_covering",
-    "is_drc_routable",
-    "ladder_decomposition",
-    "lambda_all_to_all",
-    "lower_bound",
-    "optimal_covering",
-    "optimal_excess",
-    "optimality_gap",
-    "rho",
-    "route_block",
-    "theorem_cycle_mix",
-    "triangle_covering_number",
-    "verify_covering",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".api": ("api", "CoverSpec", "Result", "solve", "solve_batch"),
+        ".core.blocks": ("CycleBlock",),
+        ".core.construction": ("fast_covering", "optimal_covering", "optimality_gap"),
+        ".core.covering": ("Covering",),
+        ".core.drc": ("is_drc_routable", "route_block"),
+        ".core.engine": ("SolverEngine",),
+        ".core.even": ("even_covering",),
+        ".core.formulas": (
+            "counting_bound",
+            "optimal_excess",
+            "rho",
+            "theorem_cycle_mix",
+            "triangle_covering_number",
+        ),
+        ".core.bounds": ("lower_bound",),
+        ".core.improve": ("improve_covering", "improved_greedy_covering"),
+        ".core.ladder": ("ladder_decomposition",),
+        ".core.verify": ("assert_valid_covering", "verify_covering"),
+        ".traffic.instances": ("Instance", "all_to_all", "lambda_all_to_all"),
+    },
+)
+__all__.append("__version__")

@@ -73,6 +73,13 @@ import time
 from collections.abc import Callable
 from types import ModuleType
 
+# The declarative API's layers (spec, router, backend registry, cache,
+# envelope) load with the CLI: solve, sweep, worker and serve all run
+# them, and perfbench/clichild.py traces the layers that importing this
+# module has loaded.  The search tiers, the SAT subsystem and the
+# dispatcher still load only when a command routes to them.
+from .api.service import solve
+
 _SUBCOMMANDS = (
     "solve", "sweep", "objectives", "backends", "worker", "serve", "experiments", "rho"
 )
@@ -271,7 +278,6 @@ def _solve_resumable(spec, cache, ckpt_store, budget, args: argparse.Namespace):
     state without it), and turn a --preempt-after budget into a preempt
     callback whose node counts continue from the resumed checkpoint —
     so repeated --resume runs each advance the proof by the full budget."""
-    from .api import solve
     from .api.checkpoints import budget_preempt
 
     prior = None
@@ -313,7 +319,6 @@ def _note_cache_stats(cache) -> None:
 
 
 def _run_jobs(ns: list[int], args: argparse.Namespace, *, single: bool = False) -> int:
-    from .api import solve
     from .util.errors import ReproError
     from .util.tables import Table
 

@@ -33,52 +33,33 @@ Layers (each its own module):
 * :mod:`~repro.api.checkpoints` — the :class:`CheckpointStore` of
   resumable search checkpoints living next to the cache;
 * :mod:`~repro.api.service` — :func:`solve` / :func:`solve_batch`.
+
+Each public name loads its module on first use: a closed-form solve
+never imports the search tiers' engine or the SAT subsystem.
 """
 
-from __future__ import annotations
+from ..util.lazy import lazy_exports
 
-from ..core.objective import (
-    Objective,
-    available_objectives,
-    get_objective,
-    register_objective,
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "..core.objective": (
+            "Objective",
+            "available_objectives",
+            "get_objective",
+            "register_objective",
+        ),
+        ".backends": (
+            "Backend",
+            "available_backends",
+            "get_backend",
+            "register_backend",
+        ),
+        ".cache": ("CACHE_DIR_ENV", "ResultCache", "default_cache_dir"),
+        ".checkpoints": ("CheckpointStore", "MemoryCheckpointStore"),
+        ".result": ("RESULT_FORMAT", "Result", "STATUSES"),
+        ".router": ("RoutingError", "route", "route_backend"),
+        ".service": ("solve", "solve_batch"),
+        ".spec": ("SPEC_FORMAT", "CoverSpec", "SpecError"),
+    },
 )
-from .backends import (
-    Backend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
-from .cache import CACHE_DIR_ENV, ResultCache, default_cache_dir
-from .checkpoints import CheckpointStore, MemoryCheckpointStore
-from .result import RESULT_FORMAT, Result, STATUSES
-from .router import RoutingError, route, route_backend
-from .service import solve, solve_batch
-from .spec import SPEC_FORMAT, CoverSpec, SpecError
-
-__all__ = [
-    "Backend",
-    "CACHE_DIR_ENV",
-    "CheckpointStore",
-    "CoverSpec",
-    "MemoryCheckpointStore",
-    "Objective",
-    "RESULT_FORMAT",
-    "Result",
-    "ResultCache",
-    "RoutingError",
-    "SPEC_FORMAT",
-    "STATUSES",
-    "SpecError",
-    "available_backends",
-    "available_objectives",
-    "default_cache_dir",
-    "get_backend",
-    "get_objective",
-    "register_backend",
-    "register_objective",
-    "route",
-    "route_backend",
-    "solve",
-    "solve_batch",
-]

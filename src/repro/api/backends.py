@@ -36,7 +36,10 @@ Manthey-style restricted covers (``CoverSpec.allowed_sizes``) flow
 through the exact and heuristic tiers' filtered block tables.
 
 Custom backends register through :func:`register_backend`; the router
-and CLI discover them via :func:`available_backends`.
+and CLI discover them via :func:`available_backends`.  The registry
+stays light to import: the search tiers load
+:mod:`repro.core.engine` when they run, and the ``sat`` entry imports
+:mod:`repro.sat` the first time :func:`get_backend` fetches it.
 
 Warm-start hints flow *between* tiers at this layer: a uniform-``K_n``
 exact solve with ``use_hints=True`` first asks the closed-form tier
@@ -52,18 +55,21 @@ their node counts comparable with ``BENCH_solver.json``.
 from __future__ import annotations
 
 import time
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from ..core.construction import optimal_covering
 from ..core.covering import Covering
-from ..core.engine import DEFAULT_NODE_LIMIT, SolverEngine, SolverStats
 from ..core.formulas import optimal_excess, rho
 from ..core.objective import Objective as CoverObjective
 from ..core.objective import get_objective
+from ..core.stats import DEFAULT_NODE_LIMIT, SolverStats
 from ..util.errors import SolverError
 from .checkpoints import CheckpointStore
 from .result import Result
 from .spec import CoverSpec, SpecError
+
+if TYPE_CHECKING:
+    from ..core.engine import SolverEngine
 
 __all__ = [
     "Backend",
@@ -117,7 +123,8 @@ class Backend(Protocol):
         ...
 
 
-_REGISTRY: dict[str, Backend] = {}
+# ``None`` marks the ``sat`` entry until its first fetch imports it.
+_REGISTRY: dict[str, Backend | None] = {}
 
 
 def register_backend(backend: Backend, *, replace: bool = False) -> Backend:
@@ -132,11 +139,16 @@ def register_backend(backend: Backend, *, replace: bool = False) -> Backend:
 
 def get_backend(name: str) -> Backend:
     try:
-        return _REGISTRY[name]
+        backend = _REGISTRY[name]
     except KeyError:
         raise SpecError(
             f"unknown backend {name!r} (available: {', '.join(available_backends())})"
         ) from None
+    if backend is None:
+        from ..sat.backend import SatBackend
+
+        backend = _REGISTRY[name] = SatBackend()
+    return backend
 
 
 def available_backends() -> tuple[str, ...]:
@@ -291,6 +303,8 @@ class ExactBackend:
         checkpoint_every: int | None = None,
         preempt=None,
     ) -> Result:
+        from ..core.engine import SolverEngine
+
         kn_search = spec.is_all_to_all and spec.lam == 1
         if not kn_search and (spec.branching != "lex" or not spec.use_memo):
             # Refuse rather than record (and cache) a regime that never runs.
@@ -396,6 +410,8 @@ class ExactShardedBackend:
         # no single serializable stack — resumable sharded certification
         # would need per-shard checkpoints (future work; the serial
         # `exact` backend is the resumable path).
+        from ..core.engine import SolverEngine
+
         if not self.supports(spec):
             raise SpecError(
                 "exact_sharded certifies uniform K_n demand only "
@@ -455,6 +471,7 @@ class HeuristicBackend:
         preempt=None,
     ) -> Result:
         # No search tree to checkpoint: greedy + improver is polynomial.
+        from ..core.engine import SolverEngine
         from ..core.improve import ImproveStats, improve_covering
 
         inst = spec.instance()
@@ -510,8 +527,6 @@ register_backend(ExactShardedBackend())
 register_backend(HeuristicBackend())
 
 # The SAT certification backend lives in its own subsystem
-# (:mod:`repro.sat`); imported after every definition above so its
-# module can import this one's helpers without a cycle.
-from ..sat.backend import SatBackend  # noqa: E402
-
-register_backend(SatBackend())
+# (:mod:`repro.sat`, which imports this module's helpers); get_backend
+# imports it on the first fetch of "sat".
+_REGISTRY["sat"] = None

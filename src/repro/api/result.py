@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from ..core.covering import Covering
-from ..core.engine import SolverStats
+from ..core.stats import SolverStats
 from ..util.errors import InvalidCoveringError
 from .spec import CoverSpec, SpecError
 

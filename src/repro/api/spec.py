@@ -24,8 +24,8 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Any
 
-from ..core.engine import BRANCHING_ORDERS
 from ..core.objective import available_objectives
+from ..core.stats import BRANCHING_ORDERS
 from ..traffic.instances import Instance, all_to_all, lambda_all_to_all
 from ..util import circular
 from ..util.errors import ReproError

@@ -22,9 +22,8 @@ when equally useful.
 
 from __future__ import annotations
 
-from ..core.blocks import CycleBlock
+from ..core.blocks import CycleBlock, enumerate_tight_blocks
 from ..core.covering import Covering
-from ..core.engine import enumerate_tight_blocks
 from ..traffic.instances import Instance
 from ..util import circular
 from ..util.errors import ConstructionError, SolverError

@@ -9,17 +9,30 @@ a circle its edges form a convex polygon.
 
 Blocks are value objects: immutable, hashable by canonical rotation, and
 cheap to create in bulk (constructions produce ``Θ(n²)`` of them).
+
+The *tight* blocks of ``C_n`` (convex, every gap at most ``⌊n/2⌋``, so
+their chord distances sum to exactly ``n``) are listed once each by
+:func:`tight_vertex_tuples`, without building or hashing a block; the
+exact-cover and greedy pools are drawn from that listing.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from ..util import circular
-from ..util.errors import InvalidBlockError
+from ..util.errors import InvalidBlockError, SolverError
 
-__all__ = ["CycleBlock", "triangle", "quad", "convex_block"]
+__all__ = [
+    "CycleBlock",
+    "triangle",
+    "quad",
+    "convex_block",
+    "enumerate_tight_blocks",
+    "tight_vertex_tuples",
+]
 
 
 @dataclass(frozen=True)
@@ -137,3 +150,66 @@ def convex_block(vertices: tuple[int, ...] | list[int]) -> CycleBlock:
     """The unique convex (DRC-routable) block on a vertex set: vertices
     joined in circular order."""
     return CycleBlock(circular.convex_cycle(vertices))
+
+
+# ---------------------------------------------------------------------------
+# Tight block enumeration
+# ---------------------------------------------------------------------------
+
+
+def _gap_compositions(total: int, parts: int, max_part: int) -> list[tuple[int, ...]]:
+    """All ordered compositions of ``total`` into ``parts`` positive parts
+    each ≤ ``max_part``, in lexicographic order (gap sequences of tight
+    blocks)."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(remaining: int, left: int, prefix: tuple[int, ...]) -> None:
+        if left == 1:
+            if 1 <= remaining <= max_part:
+                out.append(prefix + (remaining,))
+            return
+        lo = max(1, remaining - max_part * (left - 1))
+        hi = min(max_part, remaining - (left - 1))
+        for g in range(lo, hi + 1):
+            rec(remaining - g, left - 1, prefix + (g,))
+
+    rec(total, parts, ())
+    return out
+
+
+def tight_vertex_tuples(n: int, max_size: int = 4) -> Iterator[tuple[int, ...]]:
+    """The vertex tuple of every tight block of size 3..``max_size`` on
+    ``C_n``, each block once, by size, then gap sequence, then start.
+
+    Each listing runs clockwise from a start vertex along a gap
+    composition of ``n``, so a block's listings are its gap sequence's
+    rotations, each at the vertex it begins at.  The first one in
+    (gaps, start) order is the *first listing*: its gaps are the
+    lexicographically least rotation, and if that sequence repeats
+    every ``p`` gaps summing to ``P`` (``P = n`` when it never
+    repeats), the block's starts on it are congruent mod ``P``, so its
+    least start lies in ``0..P−1``.  Only least rotations are taken,
+    each at the starts ``0..P−1``: every block comes out exactly once,
+    with no set to remember the ones already seen.
+    """
+    half = n // 2
+    for size in range(3, max_size + 1):
+        for gaps in _gap_compositions(n, size, half):
+            rotations = [gaps[i:] + gaps[:i] for i in range(1, size)]
+            if min(rotations) < gaps:
+                continue
+            period = rotations.index(gaps) + 1 if gaps in rotations else size
+            offsets = [0]
+            for g in gaps[:-1]:
+                offsets.append(offsets[-1] + g)
+            for start in range(sum(gaps[:period])):
+                yield tuple([(start + o) % n for o in offsets])
+
+
+@lru_cache(maxsize=64)
+def enumerate_tight_blocks(n: int, max_size: int = 4) -> tuple[CycleBlock, ...]:
+    """All tight blocks of size 3..``max_size`` on ``C_n`` as
+    :class:`CycleBlock` objects, in :func:`tight_vertex_tuples` order."""
+    if n < 3:
+        raise SolverError(f"n ≥ 3 required, got {n}")
+    return tuple(CycleBlock(vs) for vs in tight_vertex_tuples(n, max_size))

@@ -16,7 +16,6 @@ from ..util.errors import ConstructionError
 from ..util.validation import as_int
 from .blocks import CycleBlock, convex_block
 from .covering import Covering
-from .even import even_covering
 from .formulas import rho
 from .ladder import ladder_decomposition
 
@@ -35,6 +34,10 @@ def optimal_covering(n: int) -> Covering:
         raise ConstructionError(f"coverings need n ≥ 3, got {n}")
     if n % 2 == 1:
         return ladder_decomposition(n)
+    # Imported here: the even construction (with its pole completion)
+    # stays unloaded on odd-n paths.
+    from .even import even_covering
+
     return even_covering(n)
 
 
@@ -49,6 +52,8 @@ def fast_covering(n: int) -> Covering:
     if n % 2 == 1:
         return ladder_decomposition(n)
     if n == 4:
+        from .even import even_covering
+
         return even_covering(4)
 
     odd = ladder_decomposition(n + 1)

@@ -13,7 +13,10 @@ scaffolding once:
   their bit indices, ring distances, and the full-coverage bitmask.
   Memoized per ring size.
 * **Block tables** (:func:`convex_block_table`,
-  :func:`tight_block_table`): candidate pools with precomputed edge
+  :func:`tight_block_table`; the tight pool lists each block once, at
+  its first listing — the least rotation of its gap sequence, at the
+  least start — see :func:`~repro.core.blocks.tight_vertex_tuples`):
+  candidate pools with precomputed edge
   bitmasks, bit lists, per-block coverage masses (total chord distance
   — the quantity the DRC geometry caps at ``n`` per block), per-chord
   candidate indices pre-sorted by coverage mass, and the *bound
@@ -64,7 +67,7 @@ scaffolding once:
   maps, block-for-block, to one at most as large using the dominator —
   and is dropped (:func:`dominated_candidates`).  Unsound for exact
   decomposition (a strict superset changes the partition), so
-  :func:`exact_decomposition` never applies it.
+  :func:`~repro.core.pole.exact_decomposition` never applies it.
 * **Transposition memo** — the subproblem below a node depends only on
   its uncovered-chord set, so the search memoizes ``uncovered → fewest
   blocks used`` and prunes any revisit that does not arrive strictly
@@ -114,10 +117,17 @@ scaffolding once:
   bound-pruned children are counted in one step.  Dihedral canonical
   masks come from 8-bit-chunk permutation tables.
 
-* **Exact decomposition** — :func:`exact_decomposition` (Theorem 2's
-  pole completion) is an exact cover, not a covering search, and
-  shares none of the above: Algorithm X with live candidate counts
-  over the tight pool.
+* **Greedy kernel** — :meth:`SolverEngine.greedy_cover_indices`
+  scores blocks by popcount and takes each pick from a lazy max-heap
+  (scores only fall as chords are covered, so a popped score that is
+  still current is the maximum).
+
+The exact decomposition behind Theorem 2's pole completion is an exact
+cover, not a covering search, and shares none of the above; it lives
+next to its only caller as :func:`repro.core.pole.exact_decomposition`
+and is re-exported here, with
+:func:`~repro.core.blocks.enumerate_tight_blocks`, under its former
+name.  Closed-form solves never import this module.
 """
 
 from __future__ import annotations
@@ -125,20 +135,21 @@ from __future__ import annotations
 import sys
 import time
 from array import array
-from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heapreplace
 from math import lcm
 from typing import NamedTuple
 
 from ..util import circular
 from ..util.errors import SolverError, SolverPreempted
 from ..util.parallel import parallel_map, resolve_workers, weighted_chunks
-from .blocks import CycleBlock
+from .blocks import CycleBlock, enumerate_tight_blocks
 from .checkpoint import KIND_INSTANCE, KIND_KN, CappedMemo, SearchCheckpoint, memo_cap
 from .covering import Covering
 from .ledger import CoverageLedger
 from .objective import Objective, resolve_objective
+from .pole import exact_decomposition
+from .stats import BRANCHING_ORDERS, DEFAULT_NODE_LIMIT, SolverStats
 
 __all__ = [
     "SolverEngine",
@@ -151,10 +162,6 @@ __all__ = [
     "exact_decomposition",
     "restricted_block_table",
 ]
-
-DEFAULT_NODE_LIMIT = 20_000_000
-
-BRANCHING_ORDERS = ("lex", "scarcest")
 
 # Wall-clock deadlines (``time.time()``-based so they survive pickling
 # into sharded workers) and preempt callbacks are polled each time the
@@ -171,80 +178,9 @@ SEED_N8_NODES = 85_650
 N8_NODE_CEILING = SEED_N8_NODES // 10
 
 
-@dataclass
-class SolverStats:
-    """Search statistics, reported by the certifying benchmarks."""
-
-    nodes: int = 0
-    best_value: int | None = None
-    proven_optimal: bool = False
-    shards: int = 0
-
-    @classmethod
-    def merge(cls, parts: list["SolverStats"]) -> "SolverStats":
-        """Deterministic merge of per-shard statistics (in shard order):
-        nodes add up, the best value is the minimum, and optimality
-        holds only when every shard ran to completion."""
-        merged = cls(shards=len(parts))
-        best: int | None = None
-        proven = bool(parts)
-        for st in parts:
-            merged.nodes += st.nodes
-            if st.best_value is not None and (best is None or st.best_value < best):
-                best = st.best_value
-            proven = proven and st.proven_optimal
-        merged.best_value = best
-        merged.proven_optimal = proven
-        return merged
-
-
 # ---------------------------------------------------------------------------
 # Block enumeration
 # ---------------------------------------------------------------------------
-
-
-def _gap_compositions(total: int, parts: int, max_part: int) -> list[tuple[int, ...]]:
-    """All ordered compositions of ``total`` into ``parts`` positive parts
-    each ≤ ``max_part`` (gap sequences of tight blocks)."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, left: int, prefix: tuple[int, ...]) -> None:
-        if left == 1:
-            if 1 <= remaining <= max_part:
-                out.append(prefix + (remaining,))
-            return
-        lo = max(1, remaining - max_part * (left - 1))
-        hi = min(max_part, remaining - (left - 1))
-        for g in range(lo, hi + 1):
-            rec(remaining - g, left - 1, prefix + (g,))
-
-    rec(total, parts, ())
-    return out
-
-
-@lru_cache(maxsize=64)
-def enumerate_tight_blocks(n: int, max_size: int = 4) -> tuple[CycleBlock, ...]:
-    """All *tight* convex blocks of size 3..max_size on ``C_n`` (gaps
-    ≤ ⌊n/2⌋ summing to n), each listed once, at its first (gaps, start)
-    listing.  Every listing runs clockwise, so two listings are the same
-    cycle exactly when they share a vertex set: duplicates are dropped
-    on that set before any block is built."""
-    if n < 3:
-        raise SolverError(f"n ≥ 3 required, got {n}")
-    half = n // 2
-    seen: set[frozenset[int]] = set()
-    blocks: list[CycleBlock] = []
-    for size in range(3, max_size + 1):
-        for gaps in _gap_compositions(n, size, half):
-            for start in range(n):
-                vs = [start]
-                for g in gaps[:-1]:
-                    vs.append((vs[-1] + g) % n)
-                key = frozenset(vs)
-                if key not in seen:
-                    seen.add(key)
-                    blocks.append(CycleBlock(tuple(vs)))
-    return tuple(blocks)
 
 
 @lru_cache(maxsize=32)
@@ -653,7 +589,13 @@ class SolverEngine:
         lower waste then enumeration order.  Returns the chosen block
         indices and the number of residual requests it failed to cover
         (0 whenever the pool can reach them, which it always can for
-        ``pool="convex"`` without a size restriction)."""
+        ``pool="convex"`` without a size restriction).
+
+        Scores only fall as chords are covered, so the picks come from
+        a lazy max-heap: a popped block whose score is still the one it
+        was pushed with beats every other block's (stale, and so no
+        lower) score, and is the first maximum on ties by index; a
+        stale one is re-scored and pushed back."""
         table = self._table(pool, allowed_sizes)
         index = self.space.index
         residual = [0] * len(index)
@@ -665,22 +607,35 @@ class SolverEngine:
                 live |= 1 << b
         masks = table.masks
         # Maximise gain, then minimise waste (= size − gain), then the
-        # lowest index: one integer key, since gain ≤ size ≤ n.
+        # lowest index: one integer key, since gain ≤ size ≤ n.  A block
+        # scores above 0 exactly when it reaches a live chord, so only
+        # the candidates of live chords enter the heap.
         width = self.n + 1
+        per_edge = table.per_edge
+        reach = {i for b, m in enumerate(residual) if m for i in per_edge[b]}
+        heap = [
+            (-((masks[i] & live).bit_count() * width - masks[i].bit_count()), i)
+            for i in reach
+        ]
+        heapify(heap)
         chosen: list[int] = []
-        while live:
-            scores = [(m & live).bit_count() * width - m.bit_count() for m in masks]
-            top = max(scores, default=0)
-            if top <= 0:  # no block reaches a live chord
-                break
-            best_i = scores.index(top)
-            chosen.append(best_i)
-            for b in table.bit_lists[best_i]:
-                m = residual[b]
-                if m > 0:
-                    residual[b] = m - 1
-                    if m == 1:
-                        live &= ~(1 << b)
+        while live and heap:
+            neg, i = heap[0]
+            m = masks[i]
+            score = (m & live).bit_count() * width - m.bit_count()
+            if score == -neg:  # not stale: the first maximum
+                chosen.append(i)
+                for b in table.bit_lists[i]:
+                    r = residual[b]
+                    if r > 0:
+                        residual[b] = r - 1
+                        if r == 1:
+                            live &= ~(1 << b)
+                score = (m & live).bit_count() * width - m.bit_count()
+            if score > 0:
+                heapreplace(heap, (-score, i))
+            else:
+                heappop(heap)
         return chosen, sum(residual)
 
     def greedy_cover(
@@ -1702,123 +1657,6 @@ class _InstanceModel(_ResidualModel):
     @staticmethod
     def limit_message(node_limit: int) -> str:
         return f"instance solver exceeded node limit {node_limit}"
-
-
-# ---------------------------------------------------------------------------
-# Exact decomposition (the pole completion of Theorem 2)
-# ---------------------------------------------------------------------------
-
-
-def exact_decomposition(
-    n: int,
-    edges: frozenset[tuple[int, int]],
-    *,
-    max_triangles: int | None = None,
-    node_limit: int = 5_000_000,
-    stats: SolverStats | None = None,
-) -> list[CycleBlock] | None:
-    """Partition ``edges`` into tight convex blocks, each edge exactly
-    once; returns ``None`` when no partition exists.
-
-    Algorithm X over :func:`enumerate_tight_blocks` (in pool order,
-    blocks with every edge in ``edges``): a block is *live* while it
-    shares no edge with a chosen one.  Each node branches on the first
-    uncovered chord (sorted order) with the fewest live blocks and
-    tries them in pool order; triangles beyond ``max_triangles`` are
-    skipped but stay live.  No dominance filtering: a strict superset
-    would change the partition.  Past ``node_limit`` nodes it raises
-    :class:`SolverError`; ``stats`` follows
-    :meth:`SolverEngine.min_covering`'s contract.
-    """
-    if n < 3:
-        raise SolverError(f"n ≥ 3 required, got {n}")
-    st = stats if stats is not None else SolverStats()
-    index = {e: i for i, e in enumerate(sorted(edges))}
-    if not index:
-        st.best_value = 0
-        st.proven_optimal = True
-        return []
-    pool: list[CycleBlock] = []
-    block_edges: list[list[int]] = []
-    per_edge: list[list[int]] = [[] for _ in index]
-    for blk in enumerate_tight_blocks(n):
-        ids = [index.get(e) for e in blk.edges()]
-        if None not in ids:
-            for i in ids:
-                per_edge[i].append(len(pool))
-            pool.append(blk)
-            block_edges.append(ids)
-    live = [len(cands) for cands in per_edge]
-    if 0 in live:
-        # An edge without any candidate block: non-existence is
-        # certified without search.
-        st.proven_optimal = True
-        return None
-    alive = [True] * len(pool)
-    covered = [False] * len(index)
-
-    def node() -> list[int] | None:
-        """Count one node; return its branch chord's candidates (empty
-        at a dead end, ``None`` once every chord is covered)."""
-        st.nodes += 1
-        if st.nodes > node_limit:
-            raise SolverError(
-                f"exact_decomposition exceeded node limit {node_limit} for n={n}"
-            )
-        branch, fewest = -1, len(pool) + 1
-        for e, count in enumerate(live):
-            if count < fewest and not covered[e]:
-                if count == 0:
-                    return []
-                branch, fewest = e, count
-        return per_edge[branch] if branch >= 0 else None
-
-    # An explicit stack of candidate iterators, one per open node, and a
-    # trail of the blocks chosen on the way down with the blocks each
-    # killed: recursion would need a Python frame per chosen block.
-    stack: list[tuple[Iterator[int], int]] = []
-    trail: list[tuple[int, list[int]]] = []
-    cands = node()
-    if cands is not None:
-        stack.append((iter(cands), 0))
-    while stack:
-        candidates, triangles = stack[-1]
-        for b in candidates:
-            tri = triangles + (pool[b].size == 3)
-            if alive[b] and (max_triangles is None or tri <= max_triangles):
-                break
-        else:
-            # Node exhausted: undo the choice that led to it.
-            stack.pop()
-            if trail:
-                b, killed = trail.pop()
-                for c in killed:
-                    alive[c] = True
-                    for f in block_edges[c]:
-                        live[f] += 1
-                for e in block_edges[b]:
-                    covered[e] = False
-            continue
-        killed = []
-        for e in block_edges[b]:
-            covered[e] = True
-            for c in per_edge[e]:
-                if alive[c]:
-                    alive[c] = False
-                    killed.append(c)
-                    for f in block_edges[c]:
-                        live[f] -= 1
-        trail.append((b, killed))
-        cands = node()
-        if cands is None:
-            break
-        stack.append((iter(cands), tri))
-
-    st.proven_optimal = True  # success, or exhaustion certifies non-existence
-    if cands is not None:
-        return None
-    st.best_value = len(trail)
-    return [pool[b] for b, _ in trail]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ shape.  The dispatcher:
   accepting it (a worker cannot hand back a non-covering), writes it
   through to the cache, and
 * merges deterministically: results return in the caller's spec order,
-  and the batch-level :class:`~repro.core.engine.SolverStats` are
+  and the batch-level :class:`~repro.core.stats.SolverStats` are
   merged over envelopes in stable spec-hash order.
 
 Graceful degradation is opt-in: ``degrade="heuristic"`` re-routes a job
@@ -45,7 +45,7 @@ from time import perf_counter
 from ..api.cache import ResultCache
 from ..api.result import Result
 from ..api.spec import CoverSpec
-from ..core.engine import SolverStats
+from ..core.stats import SolverStats
 from ..util.errors import DegradationError
 from ..util.parallel import lpt_order, resolve_workers
 from .base import (

@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Any
 
 from .core.covering import Covering
-from .core.verify import assert_valid_covering
 from .util.errors import InvalidCoveringError
 
 __all__ = [
@@ -131,6 +130,8 @@ def covering_from_payload(payload: Any, *, verify: bool = False) -> Covering:
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidCoveringError(f"malformed covering payload: {exc}") from exc
     if verify:
+        from .core.verify import assert_valid_covering
+
         assert_valid_covering(covering)
     return covering
 

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+from itertools import accumulate, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.blocks import CycleBlock, convex_block, quad, triangle
+from repro.core.blocks import (
+    CycleBlock,
+    convex_block,
+    enumerate_tight_blocks,
+    quad,
+    tight_vertex_tuples,
+    triangle,
+)
 from repro.util.errors import InvalidBlockError
 
 
@@ -122,3 +131,37 @@ def test_edges_invariant_under_rotation(n, data):
     r = data.draw(st.integers(0, k - 1))
     rotated = tuple(verts[r:] + verts[:r])
     assert set(CycleBlock(tuple(verts)).edges()) == set(CycleBlock(rotated).edges())
+
+
+def _first_listings(n: int, max_size: int) -> list[tuple[int, ...]]:
+    """Reference for the tight listing: every (gaps, start) listing in
+    order, each block kept at its first one, deduplicated on its
+    vertex set."""
+    half = n // 2
+    seen: set[frozenset[int]] = set()
+    out: list[tuple[int, ...]] = []
+    for size in range(3, max_size + 1):
+        for head in product(range(1, half + 1), repeat=size - 1):
+            if not 1 <= n - sum(head) <= half:
+                continue
+            offsets = (0, *accumulate(head))
+            for start in range(n):
+                vs = [(start + o) % n for o in offsets]
+                key = frozenset(vs)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(tuple(vs))
+    return out
+
+
+class TestTightListing:
+    @pytest.mark.parametrize("n", range(3, 71))
+    def test_first_listings_match_the_dedupe_reference(self, n):
+        for max_size in (3, 4):
+            assert list(tight_vertex_tuples(n, max_size)) == _first_listings(n, max_size)
+
+    @pytest.mark.parametrize("n", (3, 4, 9, 12, 20))
+    def test_blocks_wrap_the_listing(self, n):
+        blocks = enumerate_tight_blocks(n)
+        assert [blk.vertices for blk in blocks] == list(tight_vertex_tuples(n))
+        assert all(blk.is_tight(n) for blk in blocks)

@@ -12,9 +12,10 @@ from repro.core.construction import fast_covering, optimal_covering, optimality_
 from repro.core.even import even_covering
 from repro.core.formulas import optimal_excess, rho, theorem_cycle_mix
 from repro.core.ladder import ladder_decomposition, ladder_step_blocks
+from repro.core import pole
 from repro.core.pole import POLE, pole_decomposition, pole_forced_blocks
 from repro.core.verify import assert_valid_covering
-from repro.util.errors import ConstructionError
+from repro.util.errors import ConstructionError, SolverError
 
 ODD_NS = (3, 5, 7, 9, 11, 13, 17, 23, 33, 51)
 EVEN_NS = (4, 6, 8, 10, 12, 14, 16, 18, 22, 24, 30)
@@ -89,6 +90,60 @@ class TestPole:
             pole_decomposition(9)
         with pytest.raises(ConstructionError):
             pole_decomposition(13)
+
+
+class TestPoleBudget:
+    """The two pole quads share a node budget that doubles each round."""
+
+    @staticmethod
+    def _record(monkeypatch, answer):
+        """Replace the n' = 11 completion search: ``answer(w, budget)``
+        says whether the quad ``(0, 1, w, 10)`` answers (True), has no
+        completion (None) or overruns (False).  Returns the log of each
+        call's quad and budget."""
+        calls = []
+        real = pole.exact_decomposition
+
+        def search(n_prime, remaining, *, max_triangles, node_limit):
+            w = 6 if (1, 6) not in remaining else 5  # the quad covers (1, w)
+            calls.append((w, node_limit))
+            verdict = answer(w, node_limit)
+            if verdict is None:
+                return None
+            if verdict:
+                return real(n_prime, remaining, max_triangles=max_triangles)
+            raise SolverError(f"exceeded node limit {node_limit}")
+
+        monkeypatch.setattr(pole, "exact_decomposition", search)
+        return calls
+
+    def test_budget_starts_at_four_times_the_completion_and_doubles(self, monkeypatch):
+        # n' = 11: q = 2, a completion of 10 blocks, a first budget of 44.
+        calls = self._record(monkeypatch, lambda w, limit: w == 5 and limit >= 176)
+        cov = pole_decomposition.__wrapped__(11)
+        assert calls == [(6, 44), (5, 44), (6, 88), (5, 88), (6, 176), (5, 176)]
+        assert (0, 1, 5, 10) in [blk.vertices for blk in cov.blocks]
+
+    def test_a_quad_without_completion_is_not_retried(self, monkeypatch):
+        calls = self._record(monkeypatch, lambda w, limit: None if w == 6 else limit >= 88)
+        pole_decomposition.__wrapped__(11)
+        assert calls == [(6, 44), (5, 44), (5, 88)]
+
+    def test_gives_up_after_the_capped_round(self, monkeypatch):
+        calls = self._record(monkeypatch, lambda w, limit: False)
+        with pytest.raises(ConstructionError, match="no pole completion"):
+            pole_decomposition.__wrapped__(11)
+        assert calls[-2:] == [(6, pole.COMPLETION_NODE_CAP), (5, pole.COMPLETION_NODE_CAP)]
+        assert [limit for _, limit in calls[::2]] == sorted({limit for _, limit in calls})
+
+    def test_n79_answers_through_the_second_quad(self):
+        # w = 40's completion search wanders past every early budget;
+        # w = 39 answers in 742 nodes.
+        cov = pole_decomposition(79)
+        assert (0, 1, 39, 78) in [blk.vertices for blk in cov.blocks]
+        assert_valid_covering(
+            cov, expect_optimal=True, expect_exact=True, expect_theorem_mix=True
+        )
 
 
 class TestEven:
